@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import cache as _cache
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import LayoutError
@@ -71,12 +73,10 @@ def _register_permutation(
     src: LinearLayout, dst: LinearLayout
 ) -> RegisterPermute:
     """The table ``dst_reg <- src_reg``, uniform across lanes/warps."""
-    sv, dv = DistributedView(src), DistributedView(dst)
-    table = []
-    for r in range(dst.in_dim_size(REGISTER)):
-        p = dv.flat_of({REGISTER: r})
-        table.append(sv.reg_of(p))
-    return RegisterPermute(tuple(table))
+    sv = DistributedView(src)
+    return RegisterPermute(
+        tuple(sv.reg_of(p) for p in dst.image_table([REGISTER]).tolist())
+    )
 
 
 def _group_contiguous(
@@ -125,8 +125,7 @@ def _vec_bit_positions(
 
 def _shared_accesses(
     layout: LinearLayout,
-    view: DistributedView,
-    offset_of_flat,
+    offsets: np.ndarray,
     num_warps: int,
     warp_size: int,
     max_vec_elems: int,
@@ -136,8 +135,8 @@ def _shared_accesses(
 ) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]:
     """Per-CTA-thread vectorized access lists for a layout.
 
-    ``offset_of_flat`` maps a flattened logical position to a shared
-    element offset.  With ``dedupe_broadcast`` (linear mode), replicas
+    ``offsets[p]`` is the shared element offset of flattened logical
+    position ``p``.  With ``dedupe_broadcast`` (linear mode), replicas
     — hardware indices whose free bits are non-zero — are skipped,
     which is the Table 4 instruction saving.
 
@@ -151,6 +150,8 @@ def _shared_accesses(
     free_lane = free.get(LANE, 0)
     free_warp = free.get(WARP, 0)
     regs = layout.in_dim_size(REGISTER)
+    lanes = layout.in_dim_size(LANE)
+    warps = layout.in_dim_size(WARP)
     reg_order = list(range(regs))
     if vec_basis:
         positions = _vec_bit_positions(layout, vec_basis)
@@ -165,21 +166,23 @@ def _shared_accesses(
                     if (counter >> j) & 1:
                         r |= 1 << bit
                 reg_order.append(r)
+    if dedupe_broadcast:
+        reg_order = [r for r in reg_order if not r & free_reg]
+    slot_offsets = offsets[
+        layout.image_table([REGISTER, LANE, WARP]).reshape(
+            warps, lanes, regs
+        )[:, :, reg_order]
+    ].tolist()
     accesses = []
     for w in range(num_warps):
         for l in range(warp_size):
-            if l >= layout.in_dim_size(LANE) or w >= layout.in_dim_size(WARP):
+            if l >= lanes or w >= warps:
                 accesses.append(())
                 continue
             if dedupe_broadcast and ((l & free_lane) or (w & free_warp)):
                 accesses.append(())
                 continue
-            pairs = []
-            for r in reg_order:
-                if dedupe_broadcast and (r & free_reg):
-                    continue
-                p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
-                pairs.append((offset_of_flat(p), r))
+            pairs = list(zip(slot_offsets[w][l], reg_order))
             if sort_by_offset:
                 # Legacy staging groups by raw memory contiguity; the
                 # optimal path keeps register (coset) order instead.
@@ -298,7 +301,7 @@ def _plan_conversion_uncached(
     # Shared-memory path.
     elem_bytes = max(1, elem_bits // 8)
     num_warps = max(src.in_dim_size(WARP), dst.in_dim_size(WARP))
-    sv, dv = DistributedView(src), DistributedView(dst)
+    dv = DistributedView(dst)
     d = src.total_out_bits()
     notes = [note] if note else []
 
@@ -307,7 +310,7 @@ def _plan_conversion_uncached(
             memory_layout, src, dst, elem_bits
         )
         steps, extra_notes = _shared_steps_for_swizzle(
-            fixed, src, dst, sv, dv, elem_bits, spec,
+            fixed, src, dst, elem_bits, spec,
             num_warps, dedupe_broadcast,
         )
         return ConversionPlan(
@@ -336,7 +339,7 @@ def _plan_conversion_uncached(
         best = None
         for swplan in candidates:
             steps, extra_notes = _shared_steps_for_swizzle(
-                swplan, src, dst, sv, dv, elem_bits, spec,
+                swplan, src, dst, elem_bits, spec,
                 num_warps, dedupe_broadcast,
             )
             candidate = ConversionPlan(
@@ -355,9 +358,7 @@ def _plan_conversion_uncached(
         # Ablation baseline: raw row-major staging, no swizzle, no
         # padding.  Strided access patterns conflict maximally here —
         # this is what the optimal-swizzling algorithm is up against.
-        def offset_of_flat(p: int) -> int:
-            return p
-
+        offsets = np.arange(1 << d, dtype=np.int64)
         max_vec = max(1, spec.max_vector_bits // elem_bits)
         shared_bytes = (1 << d) * elem_bytes
         notes.append("unswizzled staging (ablation)")
@@ -372,8 +373,8 @@ def _plan_conversion_uncached(
         # tensor).
         row_elems = spec.bank_row_bytes // elem_bytes
 
-        def offset_of_flat(p: int) -> int:
-            return p + (p // row_elems) * pad_elems
+        flats = np.arange(1 << d, dtype=np.int64)
+        offsets = flats + (flats // row_elems) * pad_elems
 
         # Each side vectorizes by whatever contiguity survives the
         # padding; the grouping below discovers it per lane.
@@ -385,11 +386,11 @@ def _plan_conversion_uncached(
         raise ValueError(f"unknown swizzle_mode {swizzle_mode!r}")
 
     stores = _shared_accesses(
-        src, sv, offset_of_flat, num_warps, spec.warp_size,
+        src, offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast, sort_by_offset=True,
     )
     loads = _shared_accesses(
-        dst, dv, offset_of_flat, num_warps, spec.warp_size,
+        dst, offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast=False, sort_by_offset=True,
     )
     steps = [
@@ -460,8 +461,6 @@ def _shared_steps_for_swizzle(
     swplan,
     src: LinearLayout,
     dst: LinearLayout,
-    sv: DistributedView,
-    dv: DistributedView,
     elem_bits: int,
     spec: GpuSpec,
     num_warps: int,
@@ -472,18 +471,16 @@ def _shared_steps_for_swizzle(
     from repro.hardware.instructions import ldmatrix_tile
 
     elem_bytes = max(1, elem_bits // 8)
-    store_map = swplan.memory_layout.invert()
-
-    def offset_of_flat(p: int) -> int:
-        coords = swplan.memory_layout.unflatten_out(p)
-        return store_map.apply(coords)["offset"]
-
+    memory_layout = swplan.memory_layout
+    offsets = memory_layout.invert().image_table(
+        reversed(memory_layout.out_dims)
+    )
     stores = _shared_accesses(
-        src, sv, offset_of_flat, num_warps, spec.warp_size,
+        src, offsets, num_warps, spec.warp_size,
         swplan.vec_elems, dedupe_broadcast, vec_basis=swplan.vec_basis,
     )
     loads = _shared_accesses(
-        dst, dv, offset_of_flat, num_warps, spec.warp_size,
+        dst, offsets, num_warps, spec.warp_size,
         swplan.vec_elems, dedupe_broadcast=False,
         vec_basis=swplan.vec_basis,
     )

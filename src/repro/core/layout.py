@@ -24,6 +24,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro import cache as _cache
 from repro.core.errors import (
     DimensionError,
@@ -448,6 +450,22 @@ class LinearLayout:
             coords[name] = flat & ((1 << log) - 1)
             flat >>= log
         return {name: coords[name] for name in self._out_dims}
+
+    def image_table(self, in_dims: Iterable[str]) -> np.ndarray:
+        """The flat (row-major) image of every input index, as int64.
+
+        Entry ``i`` is :meth:`apply_flat` of ``i`` decoded over
+        ``in_dims``, first listed dim in the low bits.  Dims the layout
+        lacks have size 1; dims not listed are held at 0.  Linearity
+        builds the table by doubling, ``t <- t ++ (t ^ col_k)`` over
+        the input bits, so this is the one whole-layout evaluator;
+        :meth:`apply` is for single lookups.
+        """
+        table = np.zeros(1, dtype=np.int64)
+        for dim in in_dims:
+            for col in self.basis_images_flat(dim):
+                table = np.concatenate((table, table ^ col))
+        return table
 
     # ------------------------------------------------------------------
     # Matrix view

@@ -10,13 +10,12 @@ indistinguishable from leaving the slot unwritten.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
-from repro.codegen.views import DistributedView
 
 Slot = Tuple[int, int, int]  # (warp, lane, reg)
 
@@ -35,7 +34,7 @@ class RegisterFile:
             (
                 max(nw, warp + 1),
                 max(ws, lane + 1),
-                max(nr * 2, reg + 1),
+                nr if reg < nr else max(nr * 2, reg + 1),
             ),
             None,
             dtype=object,
@@ -118,64 +117,59 @@ class RegisterFile:
         return rf
 
 
+def _slot_table(layout: LinearLayout) -> np.ndarray:
+    """Flat logical position of every (warp, lane, reg) slot."""
+    return layout.image_table([REGISTER, LANE, WARP]).reshape(
+        layout.in_dim_size(WARP),
+        layout.in_dim_size(LANE),
+        layout.in_dim_size(REGISTER),
+    )
+
+
 def distributed_data(
     layout: LinearLayout,
     num_warps: int,
     warp_size: int,
-    value_of: Optional[Callable[[int], object]] = None,
+    values: Optional[np.ndarray] = None,
 ) -> RegisterFile:
     """Materialize a register file where every slot holds the value of
     the logical element its layout assigns to it.
 
-    ``value_of`` maps the flattened logical position to a value
-    (default: the position itself), so conversion correctness checks
-    reduce to comparing integers.
+    ``values`` is indexed by the flattened logical position (default:
+    the position itself), so conversion correctness checks reduce to
+    comparing integers.
     """
-    view = DistributedView(layout)
-    rf = RegisterFile(num_warps, warp_size)
-    regs = layout.in_dim_size(REGISTER)
-    lanes = layout.in_dim_size(LANE)
-    warps = layout.in_dim_size(WARP)
-    if value_of is None:
-        value_of = lambda p: p  # noqa: E731
-    for w in range(warps):
-        for l in range(lanes):
-            for r in range(regs):
-                p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
-                rf.write(w, l, r, value_of(p))
-    return rf
-
-
-def expected_data(
-    layout: LinearLayout,
-    num_warps: int,
-    warp_size: int,
-    value_of: Optional[Callable[[int], object]] = None,
-) -> RegisterFile:
-    """Alias of :func:`distributed_data` for readability in checks."""
-    return distributed_data(layout, num_warps, warp_size, value_of)
+    flats = _slot_table(layout)
+    warps, lanes, regs = flats.shape
+    arr = np.full(
+        (max(num_warps, warps), max(warp_size, lanes), regs),
+        None,
+        dtype=object,
+    )
+    arr[:warps, :lanes, :] = flats if values is None else values[flats]
+    return RegisterFile.from_dense(arr, num_warps, warp_size)
 
 
 def assert_matches_layout(
     rf: RegisterFile,
     layout: LinearLayout,
-    value_of: Optional[Callable[[int], object]] = None,
+    values: Optional[np.ndarray] = None,
 ) -> None:
-    """Raise AssertionError when any slot disagrees with the layout."""
-    view = DistributedView(layout)
-    regs = layout.in_dim_size(REGISTER)
-    lanes = layout.in_dim_size(LANE)
-    warps = layout.in_dim_size(WARP)
-    if value_of is None:
-        value_of = lambda p: p  # noqa: E731
-    for w in range(warps):
-        for l in range(lanes):
-            for r in range(regs):
-                p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
-                got = rf.read(w, l, r)
-                want = value_of(p)
-                if got != want:
-                    raise AssertionError(
-                        f"slot (w={w}, l={l}, r={r}) holds {got!r}, "
-                        f"expected element {want!r} (flat {p})"
-                    )
+    """Raise AssertionError when any slot disagrees with the layout.
+
+    The first bad slot in (warp, lane, reg) order is reported; an
+    unwritten one raises the KeyError of :meth:`RegisterFile.read`.
+    """
+    flats = _slot_table(layout)
+    got = rf.dense(*flats.shape)
+    want = flats if values is None else values[flats]
+    bad = np.argwhere((got == None) | (got != want))  # noqa: E711
+    if len(bad):
+        w, l, r = (int(i) for i in bad[0])
+        p = int(flats[w, l, r])
+        value = rf.read(w, l, r)
+        raise AssertionError(
+            f"slot (w={w}, l={l}, r={r}) holds {value!r}, "
+            f"expected element {p if values is None else values[p]!r} "
+            f"(flat {p})"
+        )

@@ -98,13 +98,10 @@ def _simulate_conversion(op, arr: np.ndarray, result, machines: Dict):
         machines[num_warps] = machine
     flat = arr.ravel()
     registers = distributed_data(
-        src_l,
-        num_warps,
-        machine.spec.warp_size,
-        value_of=lambda p: flat[p],
+        src_l, num_warps, machine.spec.warp_size, values=flat
     )
     converted, trace = machine.run_conversion(plan, registers)
-    assert_matches_layout(converted, dst_l, value_of=lambda p: flat[p])
+    assert_matches_layout(converted, dst_l, values=flat)
     result.conversion_traces.append(trace)
     return True
 

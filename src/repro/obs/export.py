@@ -46,6 +46,13 @@ def _category(name: str) -> str:
     return name.split(":", 1)[0] if ":" in name else "span"
 
 
+def _labeled_name(row: Dict[str, Any]) -> str:
+    """A metric row's name with its labels, ``name{k=v,...}``."""
+    labels = row.get("labels", {})
+    label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return row["name"] + (f"{{{label_text}}}" if label_text else "")
+
+
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
@@ -150,9 +157,7 @@ def chrome_trace_from_events(
             }
         )
     for row in metrics.get("counters", []):
-        labels = row.get("labels", {})
-        label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        name = row["name"] + (f"{{{label_text}}}" if label_text else "")
+        name = _labeled_name(row)
         # A start-and-end pair renders a visible counter track.
         for ts, value in ((0.0, 0), (round(end_ts, 3), row["value"])):
             trace_events.append(
@@ -277,19 +282,14 @@ def summarize_events(events: List[Dict[str, Any]]) -> str:
         counters = metrics.get("counters", [])
         lines.append(f"counters: {len(counters)}")
         for row in counters:
-            labels = row.get("labels", {})
-            label_text = ",".join(
-                f"{k}={v}" for k, v in sorted(labels.items())
-            )
-            suffix = f"{{{label_text}}}" if label_text else ""
-            lines.append(f"  {row['name']}{suffix} = {row['value']:g}")
+            lines.append(f"  {_labeled_name(row)} = {row['value']:g}")
         hists = metrics.get("histograms", [])
         if hists:
             lines.append(f"histograms: {len(hists)}")
             for row in hists:
                 value = row["value"]
                 lines.append(
-                    f"  {row['name']}: n={value['count']} "
+                    f"  {_labeled_name(row)}: n={value['count']} "
                     f"mean={value['mean']:.4g} max={value['max']:.4g}"
                 )
     return "\n".join(lines)

@@ -492,14 +492,13 @@ class VectorInterpreter:
                 )
             elif op == Opcode.GATHER_SHFL:
                 arrays[instr.dst] = self._gather_shfl(
-                    program, instr, key, arrays, nw, ws
+                    instr, arrays, nw, ws
                 )
                 trace.emit(
                     InstructionKind.SHUFFLE, count=instr.shuffle_count
                 )
             elif op == Opcode.GATHER_STS:
                 layout = instr.layout
-                here = _slot_flats(program, instr.layout, key)
                 warps = layout.in_dim_size(WARP)
                 lanes = layout.in_dim_size(LANE)
                 regs = layout.in_dim_size(REGISTER)
@@ -507,9 +506,9 @@ class VectorInterpreter:
                 memory = np.full(
                     1 << layout.total_out_bits(), None, dtype=object
                 )
-                memory[here.ravel()] = arrays[instr.src][
-                    :warps, :lanes, :regs
-                ].ravel()
+                memory[layout.image_table([REGISTER, LANE, WARP])] = arrays[
+                    instr.src
+                ][:warps, :lanes, :regs].ravel()
                 trace.emit(
                     InstructionKind.SHARED_STORE,
                     vector_bits=32,
@@ -524,7 +523,7 @@ class VectorInterpreter:
                 lanes = layout.in_dim_size(LANE)
                 regs = layout.in_dim_size(REGISTER)
                 src_flat = self._gather_offsets(
-                    program, instr, key, arrays, warps, lanes, regs
+                    instr, arrays, warps, lanes, regs
                 )
                 out = np.full((nw, ws, regs), None, dtype=object)
                 out[:warps, :lanes, :regs] = memory[src_flat]
@@ -555,22 +554,22 @@ class VectorInterpreter:
 
     # -- gather helpers ------------------------------------------------
     def _gather_offsets(
-        self, program, instr, key, arrays, warps, lanes, regs
+        self, instr, arrays, warps, lanes, regs
     ) -> np.ndarray:
-        here = _slot_flats(program, instr.layout, (*key, "flats"))
+        here = instr.layout.image_table([REGISTER, LANE, WARP]).reshape(
+            warps, lanes, regs
+        )
         shift, mask = _axis_field(instr.layout, instr.axis)
         pos = arrays[instr.index][:warps, :lanes, :regs].astype(np.int64)
         return (here & ~mask) | (pos << shift)
 
-    def _gather_shfl(
-        self, program, instr, key, arrays, nw, ws
-    ) -> np.ndarray:
+    def _gather_shfl(self, instr, arrays, nw, ws) -> np.ndarray:
         layout = instr.layout
         warps = layout.in_dim_size(WARP)
         lanes = layout.in_dim_size(LANE)
         regs = layout.in_dim_size(REGISTER)
         src_flat = self._gather_offsets(
-            program, instr, key, arrays, warps, lanes, regs
+            instr, arrays, warps, lanes, regs
         )
         view = DistributedView(layout)
         owner_lane = np.zeros_like(src_flat)
@@ -664,30 +663,6 @@ def _alloc_memory(
                 size = max(size, 1 << instr.layout.total_out_bits())
         program.scratch[key] = size
     return np.full(size, None, dtype=object)
-
-
-def _slot_flats(program: WarpProgram, layout, key) -> np.ndarray:
-    """``flat_of`` of every (warp, lane, reg) slot, vectorized."""
-    cached = program.scratch.get(key)
-    if cached is not None:
-        return cached
-    view = DistributedView(layout)
-    warps = layout.in_dim_size(WARP)
-    lanes = layout.in_dim_size(LANE)
-    regs = layout.in_dim_size(REGISTER)
-    w_mesh, l_mesh, r_mesh = np.meshgrid(
-        np.arange(warps, dtype=np.int64),
-        np.arange(lanes, dtype=np.int64),
-        np.arange(regs, dtype=np.int64),
-        indexing="ij",
-    )
-    flats = np.zeros((warps, lanes, regs), dtype=np.int64)
-    for dim, values in ((REGISTER, r_mesh), (LANE, l_mesh), (WARP, w_mesh)):
-        for bit, col in enumerate(view.columns.get(dim, [])):
-            if col:
-                flats ^= ((values >> bit) & 1) * col
-    program.scratch[key] = flats
-    return flats
 
 
 def make_interpreter(

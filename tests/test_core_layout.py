@@ -3,6 +3,7 @@
 Includes the paper's running example: Layout A of Figure 1 / Table 1.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -313,3 +314,40 @@ def test_layout_a_linearity(r, l, w):
     xy = {k: x[k] ^ y[k] for k in x}
     fxy = a.apply(xy)
     assert fxy == {k: fx[k] ^ fy[k] for k in fx}
+
+
+@st.composite
+def layouts_and_orders(draw):
+    """A random layout (zero columns and non-surjective maps allowed)
+    and an order of in-dims to tabulate it over, possibly listing a dim
+    the layout lacks and omitting one it has."""
+    out_logs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    out_dims = {f"dim{k}": 1 << log for k, log in enumerate(out_logs)}
+    bases = {}
+    for dim in draw(st.permutations([REGISTER, LANE, WARP, "block"])):
+        bits = draw(st.integers(0, 3))
+        if bits or draw(st.booleans()):
+            bases[dim] = [
+                tuple(draw(st.integers(0, (1 << log) - 1)) for log in out_logs)
+                for _ in range(bits)
+            ]
+    layout = LinearLayout(bases, out_dims, require_surjective=False)
+    order = draw(st.permutations([REGISTER, LANE, WARP, "block", "extra"]))
+    return layout, order[: draw(st.integers(0, len(order)))]
+
+
+@given(layouts_and_orders())
+@settings(max_examples=200)
+def test_image_table_matches_apply_flat(case):
+    layout, order = case
+    table = layout.image_table(order)
+    sizes = [layout.in_dim_size(d) for d in order]
+    assert table.dtype.name == "int64"
+    assert len(table) == np.prod(sizes, dtype=np.int64)
+    for i, got in enumerate(table.tolist()):
+        inputs, rest = {}, i
+        for dim, size in zip(order, sizes):
+            if layout.has_in_dim(dim):
+                inputs[dim] = rest % size
+            rest //= size
+        assert got == layout.apply_flat(inputs)

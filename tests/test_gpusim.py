@@ -1,6 +1,7 @@
 """Tests for the simulated GPU: banked memory, register files, traces,
 machine execution, and pricing/machine agreement."""
 
+import numpy as np
 import pytest
 
 from repro.codegen import plan_conversion
@@ -81,6 +82,38 @@ class TestRegisterFile:
         clone = rf.copy()
         clone.write(0, 0, 0, 2)
         assert rf.read(0, 0, 0) == 1
+
+    def test_lane_overflow_grows_only_the_lane_axis(self):
+        rf = RegisterFile(4, 32)
+        for reg in range(4):
+            rf.write(0, 0, reg, reg)
+        for lane in range(32, 44):
+            rf.write(0, lane, 0, lane)
+        assert rf.num_regs == 4
+        assert rf.dense(4, 44, 4)[0, 32:, 0].tolist() == list(range(32, 44))
+
+    def test_distributed_data_round_trip_on_64_lanes(self):
+        layout = BlockedLayout((1, 2), (8, 8), (2, 2), (1, 0)).to_linear(
+            (64, 64)
+        )
+        assert (layout.in_dim_size(LANE), layout.in_dim_size(WARP)) == (64, 4)
+        values = np.arange(layout.total_out_size()) * 3 + 1
+        rf = distributed_data(layout, 4, 64, values=values)
+        assert_matches_layout(rf, layout, values=values)
+        slot = {WARP: 3, LANE: 63, REGISTER: 5}
+        assert rf.read(3, 63, 5) == values[layout.apply_flat(slot)]
+
+        wrong = rf.copy()
+        wrong.write(2, 0, 0, -1)
+        wrong.write(1, 40, 3, -1)
+        with pytest.raises(AssertionError, match=r"\(w=1, l=40, r=3\)"):
+            assert_matches_layout(wrong, layout, values=values)
+
+        arr = wrong.dense(4, 64, rf.num_regs)
+        arr[1, 7, 2] = None
+        unwritten = RegisterFile.from_dense(arr, 4, 64)
+        with pytest.raises(KeyError, match=r"w=1, l=7, r=2"):
+            assert_matches_layout(unwritten, layout, values=values)
 
     def test_distributed_data_matches_layout(self):
         layout = BlockedLayout((1, 2), (4, 8), (2, 2), (1, 0)).to_linear(

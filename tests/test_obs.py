@@ -307,6 +307,14 @@ class TestExporters:
         assert "compile:kernel" in text
         assert "cache.hits{cache=plans} = 4" in text
 
+    def test_summarize_events_labels_histogram_rows(self):
+        with obs.capture() as rec:
+            obs.observe("pipeline.pass_ms", 1.5, **{"pass": "lower"})
+            obs.observe("pipeline.pass_ms", 2.5, **{"pass": "remat"})
+        text = obs.summarize_events(obs.jsonl_events(rec))
+        assert "pipeline.pass_ms{pass=lower}: n=1 mean=1.5" in text
+        assert "pipeline.pass_ms{pass=remat}: n=1 mean=2.5" in text
+
     def test_cli_check_accepts_export_and_rejects_garbage(
         self, tmp_path, capsys
     ):
