@@ -16,7 +16,7 @@ and destination distributed layouts it picks, in order of preference,
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro import cache as _cache
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import LayoutError
 from repro.core.layout import LinearLayout
+from repro.codegen.access import AccessTable, group_contiguous
 from repro.codegen.plan import (
     Barrier,
     ConversionPlan,
@@ -79,36 +80,6 @@ def _register_permutation(
     )
 
 
-def _group_contiguous(
-    pairs: List[Tuple[int, int]], max_vec: int
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Group (offset, reg) pairs into aligned power-of-two vectors.
-
-    Pairs are consumed in *register* order so every lane of the warp
-    groups the same registers into the same instruction — instructions
-    then align with the affine cosets the swizzle algorithm reasons
-    about (Lemma 9.4 counts conflicts per coset; mixing cosets in one
-    instruction would reintroduce conflicts the analysis excluded).
-    Within a run the offsets must be contiguous and aligned.
-    """
-    out: List[Tuple[int, Tuple[int, ...]]] = []
-    i = 0
-    while i < len(pairs):
-        run = 1
-        while (
-            i + run < len(pairs)
-            and pairs[i + run][0] == pairs[i][0] + run
-        ):
-            run += 1
-        vec = max_vec
-        base = pairs[i][0]
-        while vec > 1 and (run < vec or base % vec != 0):
-            vec >>= 1
-        out.append((base, tuple(reg for _, reg in pairs[i: i + vec])))
-        i += vec
-    return out
-
-
 def _vec_bit_positions(
     layout: LinearLayout, vec_basis: Sequence[int]
 ) -> Optional[List[int]]:
@@ -132,8 +103,8 @@ def _shared_accesses(
     dedupe_broadcast: bool,
     vec_basis: Optional[Sequence[int]] = None,
     sort_by_offset: bool = False,
-) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]:
-    """Per-CTA-thread vectorized access lists for a layout.
+) -> AccessTable:
+    """The vectorized CTA-wide access table of a layout.
 
     ``offsets[p]`` is the shared element offset of flattened logical
     position ``p``.  With ``dedupe_broadcast`` (linear mode), replicas
@@ -143,7 +114,9 @@ def _shared_accesses(
     When ``vec_basis`` is given (the optimal-swizzle path), registers
     are enumerated so the Vec-subspace register bits run fastest —
     every instruction then covers exactly one vectorized coset, as the
-    swizzle analysis assumes.
+    swizzle analysis assumes.  Otherwise, with ``sort_by_offset``
+    (legacy staging), each thread's pairs are ordered by ``(offset,
+    reg)``, grouping by raw memory contiguity instead.
     """
     free = layout.free_variable_masks()
     free_reg = free.get(REGISTER, 0)
@@ -152,43 +125,42 @@ def _shared_accesses(
     regs = layout.in_dim_size(REGISTER)
     lanes = layout.in_dim_size(LANE)
     warps = layout.in_dim_size(WARP)
-    reg_order = list(range(regs))
+    reg_order = np.arange(regs)
     if vec_basis:
         positions = _vec_bit_positions(layout, vec_basis)
         if positions is not None:
             n_bits = layout.in_dim_size_log2(REGISTER)
             others = [i for i in range(n_bits) if i not in positions]
             bit_order = positions + others  # vec bits run fastest
-            reg_order = []
-            for counter in range(regs):
-                r = 0
-                for j, bit in enumerate(bit_order):
-                    if (counter >> j) & 1:
-                        r |= 1 << bit
-                reg_order.append(r)
+            counter = reg_order
+            reg_order = np.zeros(regs, dtype=np.int64)
+            for j, bit in enumerate(bit_order):
+                reg_order |= ((counter >> j) & 1) << bit
     if dedupe_broadcast:
-        reg_order = [r for r in reg_order if not r & free_reg]
+        reg_order = reg_order[(reg_order & free_reg) == 0]
+    lanes_used, warps_used = min(lanes, warp_size), min(warps, num_warps)
     slot_offsets = offsets[
         layout.image_table([REGISTER, LANE, WARP]).reshape(
             warps, lanes, regs
-        )[:, :, reg_order]
-    ].tolist()
-    accesses = []
-    for w in range(num_warps):
-        for l in range(warp_size):
-            if l >= lanes or w >= warps:
-                accesses.append(())
-                continue
-            if dedupe_broadcast and ((l & free_lane) or (w & free_warp)):
-                accesses.append(())
-                continue
-            pairs = list(zip(slot_offsets[w][l], reg_order))
-            if sort_by_offset:
-                # Legacy staging groups by raw memory contiguity; the
-                # optimal path keeps register (coset) order instead.
-                pairs.sort()
-            accesses.append(tuple(_group_contiguous(pairs, max_vec_elems)))
-    return tuple(accesses)
+        )[:warps_used, :lanes_used][:, :, reg_order]
+    ]
+    w = np.arange(warps_used)[:, None]
+    lane = np.arange(lanes_used)[None, :]
+    tids = w * warp_size + lane
+    if dedupe_broadcast:
+        keep = ((lane & free_lane) == 0) & ((w & free_warp) == 0)
+    else:
+        keep = np.ones(tids.shape, dtype=bool)
+    slot_offsets = slot_offsets[keep]
+    slot_regs = np.broadcast_to(reg_order, slot_offsets.shape)
+    if sort_by_offset:
+        order = np.argsort(slot_offsets * regs + slot_regs, axis=1)
+        slot_offsets = np.take_along_axis(slot_offsets, order, axis=1)
+        slot_regs = np.take_along_axis(slot_regs, order, axis=1)
+    return group_contiguous(
+        slot_offsets, slot_regs, tids[keep], max_vec_elems,
+        num_warps * warp_size,
+    )
 
 
 def plan_conversion(

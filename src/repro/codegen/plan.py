@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from repro.codegen.access import AccessTable, describe_shared
 from repro.core.layout import LinearLayout
 from repro.obs import core as _obs
 
@@ -78,22 +79,24 @@ class ShuffleRound:
 
 @dataclass(frozen=True)
 class SharedStore:
-    """Per-lane vectorized stores to shared memory.
+    """Vectorized stores of every thread to shared memory.
 
-    ``accesses[lane]`` is a list of ``(base_offset, regs)`` pairs: the
-    lane stores the values of ``regs`` contiguously starting at element
-    offset ``base_offset``.  All lanes issue in lockstep, so entry
-    ``k`` across lanes forms one warp instruction.
+    ``accesses`` is the :class:`~repro.codegen.access.AccessTable` of
+    the store: thread ``tid``'s group ``k`` stores its registers
+    contiguously from the group's base element offset.  All threads
+    issue in lockstep, so group ``k`` across threads forms one warp
+    instruction.
     """
 
-    accesses: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
+    accesses: AccessTable
     elem_bytes: int
     use_stmatrix: bool = False
 
     def describe(self) -> str:
         """Readable summary: lanes, accesses/lane, vector width."""
-        return _describe_shared(
-            "shared_store", self, "stmatrix" if self.use_stmatrix else ""
+        return describe_shared(
+            "shared_store", "lanes", self.accesses, self.elem_bytes,
+            "stmatrix" if self.use_stmatrix else "",
         )
 
     def __repr__(self) -> str:
@@ -102,16 +105,17 @@ class SharedStore:
 
 @dataclass(frozen=True)
 class SharedLoad:
-    """Per-lane vectorized loads from shared memory (same encoding)."""
+    """Vectorized loads from shared memory (same encoding)."""
 
-    accesses: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
+    accesses: AccessTable
     elem_bytes: int
     use_ldmatrix: bool = False
 
     def describe(self) -> str:
         """Readable summary: lanes, accesses/lane, vector width."""
-        return _describe_shared(
-            "shared_load", self, "ldmatrix" if self.use_ldmatrix else ""
+        return describe_shared(
+            "shared_load", "lanes", self.accesses, self.elem_bytes,
+            "ldmatrix" if self.use_ldmatrix else "",
         )
 
     def __repr__(self) -> str:
@@ -128,22 +132,6 @@ class Barrier:
 
     def __repr__(self) -> str:
         return "<barrier>"
-
-
-def _describe_shared(label: str, step, matrix_note: str) -> str:
-    """Shared-memory step summary: lanes, per-lane accesses, widths."""
-    lanes = len(step.accesses)
-    per_lane = max((len(a) for a in step.accesses), default=0)
-    widest = max(
-        (len(regs) for lane in step.accesses for _, regs in lane),
-        default=0,
-    )
-    vec_bits = widest * step.elem_bytes * 8
-    note = f", {matrix_note}" if matrix_note else ""
-    return (
-        f"{label}: {lanes} lanes x {per_lane} accesses, "
-        f"vec {vec_bits}b{note}"
-    )
 
 
 Step = object  # union of the five step types above

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro import cache as _cache
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
@@ -107,13 +109,38 @@ def _dedupe_registers(layout: LinearLayout) -> Tuple[
     return quotient, keep
 
 
-def _real_reg(keep: List[int], quotient: int) -> int:
-    """Map a quotient register index back to a canonical real index."""
-    real = 0
+def _real_regs(keep: List[int]) -> np.ndarray:
+    """Canonical real register index of each quotient register index."""
+    quotient = np.arange(1 << len(keep))
+    real = np.zeros_like(quotient)
     for j, bit in enumerate(keep):
-        if (quotient >> j) & 1:
-            real |= 1 << bit
+        real |= ((quotient >> j) & 1) << bit
     return real
+
+
+def _first_repeat(values: np.ndarray) -> int:
+    """Index of the first value seen before (``len`` when none is)."""
+    _, first = np.unique(values, return_index=True)
+    repeated = np.ones(len(values), dtype=bool)
+    repeated[first] = False
+    hits = np.flatnonzero(repeated)
+    return int(hits[0]) if len(hits) else len(values)
+
+
+def _check_coset(s_lane: np.ndarray, d_lane: np.ndarray, num_lanes: int):
+    """Each coset must cross every source and destination lane once.
+
+    Coset elements are visited in order; at the first element that
+    revisits a lane, a destination revisit is reported before a source
+    one.
+    """
+    d_dup, s_dup = _first_repeat(d_lane), _first_repeat(s_lane)
+    if d_dup < len(d_lane) and d_dup <= s_dup:
+        raise ShufflePlanError("coset visits a destination lane twice")
+    if s_dup < len(s_lane):
+        raise ShufflePlanError("coset visits a source lane twice")
+    if len(d_lane) < num_lanes:
+        raise ShufflePlanError("coset misses a lane")
 
 
 def plan_warp_shuffle(
@@ -204,46 +231,36 @@ def _plan_warp_shuffle(
     candidates = sorted(set(a_reg) - set(v_basis)) + sorted(a_thr)
     r_basis = _extend(warp_rank, v_basis + i_set + g_set, candidates)
 
-    vec = 1 << len(v_basis)
-    v_span = _span_elements(v_basis)
-    ig_span = _span_elements(i_set + g_set)
+    v_span = np.array(_span_elements(v_basis), dtype=np.int64)
+    ig_span = np.array(_span_elements(i_set + g_set), dtype=np.int64)
     num_lanes = 1 << len(a_thr)
+    vec = len(v_span)
     insts = max(1, (vec * elem_bits + shuffle_bits - 1) // shuffle_bits)
 
+    # Every element of every round's coset at once:
+    # flats[rnd, s, v] = R(rnd) ^ s ^ v, with s over I+G and v over V.
+    bases = np.array(_span_elements(r_basis), dtype=np.int64)
+    flats = bases[:, None, None] ^ ig_span[None, :, None] ^ v_span
+    s_lanes = src.owner_indices(flats[:, :, 0], LANE)
+    d_lanes = dst.owner_indices(flats[:, :, 0], LANE)
+    s_regs = _real_regs(keep_src)[src.owner_indices(flats, REGISTER)]
+    d_regs = _real_regs(keep_dst)[dst.owner_indices(flats, REGISTER)]
+
     rounds: List[ShuffleRound] = []
-    for rnd in range(1 << len(r_basis)):
-        base = 0
-        for idx in iter_set_bits(rnd):
-            base ^= r_basis[idx]
-        src_lane_of = [-1] * num_lanes
-        send_regs: List[Tuple[int, ...]] = [()] * num_lanes
-        recv_regs: List[Tuple[int, ...]] = [()] * num_lanes
-        for s in ig_span:
-            p0 = base ^ s
-            s_lane = src.lane_of(p0)
-            d_lane = dst.lane_of(p0)
-            s_regs = tuple(
-                _real_reg(keep_src, src.reg_of(p0 ^ v)) for v in v_span
-            )
-            d_regs = tuple(
-                _real_reg(keep_dst, dst.reg_of(p0 ^ v)) for v in v_span
-            )
-            if src_lane_of[d_lane] != -1:
-                raise ShufflePlanError(
-                    "coset visits a destination lane twice"
-                )
-            if send_regs[s_lane]:
-                raise ShufflePlanError("coset visits a source lane twice")
-            src_lane_of[d_lane] = s_lane
-            send_regs[s_lane] = s_regs
-            recv_regs[d_lane] = d_regs
-        if -1 in src_lane_of:
-            raise ShufflePlanError("coset misses a lane")
+    for rnd in range(len(bases)):
+        s_lane, d_lane = s_lanes[rnd], d_lanes[rnd]
+        _check_coset(s_lane, d_lane, num_lanes)
+        src_lane_of = np.empty(num_lanes, dtype=np.int64)
+        src_lane_of[d_lane] = s_lane
+        send_regs = np.empty((num_lanes, vec), dtype=np.int64)
+        send_regs[s_lane] = s_regs[rnd]
+        recv_regs = np.empty((num_lanes, vec), dtype=np.int64)
+        recv_regs[d_lane] = d_regs[rnd]
         rounds.append(
             ShuffleRound(
-                src_lane=tuple(src_lane_of),
-                send_regs=tuple(send_regs),
-                recv_regs=tuple(recv_regs),
+                src_lane=tuple(src_lane_of.tolist()),
+                send_regs=tuple(map(tuple, send_regs.tolist())),
+                recv_regs=tuple(map(tuple, recv_regs.tolist())),
                 insts_per_round=insts,
             )
         )

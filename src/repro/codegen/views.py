@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import LayoutError
 from repro.core.layout import LinearLayout
@@ -78,6 +80,19 @@ class DistributedView:
             indices[d] |= 1 << i
             flat ^= low
         return indices
+
+    def owner_indices(self, flats: np.ndarray, dim: str) -> np.ndarray:
+        """``owner_of(p)[dim]`` for every ``p`` in an int array at once.
+
+        Pure bit routing: each flat bit owned by ``dim`` moves to its
+        index bit.  A distributed layout is surjective, so every bit
+        below :attr:`total_bits` has an owner.
+        """
+        out = np.zeros_like(flats)
+        for pos, (d, i) in self.bit_owner.items():
+            if d == dim:
+                out |= ((flats >> pos) & 1) << i
+        return out
 
     def reg_of(self, flat: int) -> int:
         """Canonical register index owning a flattened position."""

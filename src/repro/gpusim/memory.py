@@ -10,7 +10,9 @@ hardware behaves and what Lemma 9.4 predicts.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.hardware.spec import GpuSpec
 
@@ -55,25 +57,16 @@ class SharedMemory:
         """Wavefronts for one warp-wide access.
 
         ``accesses`` is a list of ``(element_offset, num_elements)``
-        per participating lane.  The access is split into 128-byte
-        transactions; each transaction costs the maximum number of
-        distinct 4-byte words per bank.
+        per participating lane.  The cost is the maximum number of
+        distinct 4-byte words any bank must serve, so a vector wider
+        than one 128-byte transaction costs its extra transactions and
+        same-word broadcast is free.  ``is_store`` does not change the
+        count.  This is the per-access reference for
+        :func:`access_wavefronts`, which prices many accesses at once.
         """
         if not accesses:
             return 0
         spec = self.spec
-        row = spec.bank_row_bytes
-        # Split each lane's byte range into per-transaction chunks.
-        per_lane_bytes = max(
-            n * self.elem_bytes for _, n in accesses
-        )
-        txns = max(1, (per_lane_bytes + row - 1) // row) if per_lane_bytes > row else 1
-        # When one lane's vector exceeds a transaction, hardware splits
-        # it; each sub-transaction sweeps distinct words, which the
-        # per-bank distinct-word count below captures if we process the
-        # whole range at once — so we just count distinct words/bank.
-        del txns
-        total = 0
         words_by_bank: Dict[int, set] = {}
         for offset, count in accesses:
             start = offset * self.elem_bytes
@@ -83,6 +76,78 @@ class SharedMemory:
             for word in range(word0, word1):
                 bank = word % spec.num_banks
                 words_by_bank.setdefault(bank, set()).add(word)
-        del is_store
-        total = max(len(words) for words in words_by_bank.values())
-        return total
+        return max(len(words) for words in words_by_bank.values())
+
+
+def access_wavefronts(
+    spec: GpuSpec,
+    elem_bytes: int,
+    group: np.ndarray,
+    offsets: np.ndarray,
+    num_groups: int,
+) -> np.ndarray:
+    """Wavefronts of many warp-wide accesses, one per group.
+
+    Element ``e`` (at element offset ``offsets[e]``) belongs to the
+    warp access ``group[e]``.  Each group costs what
+    :meth:`SharedMemory.wavefronts` charges its elements: the most
+    distinct words any bank serves.  An element wider than a bank
+    word (8-byte elements) touches every word it spans.  Groups with
+    no elements cost 0.
+    """
+    nb = spec.num_banks
+    if not len(offsets):
+        return np.zeros(num_groups, dtype=np.int64)
+    start = offsets * elem_bytes
+    first = start // spec.bank_bytes
+    last = (start + elem_bytes - 1) // spec.bank_bytes
+    span = int((last - first).max()) + 1
+    words = np.concatenate([first + t for t in range(span)])
+    groups = np.tile(group, span)
+    if span > 1:
+        touched = words <= np.tile(last, span)
+        words, groups = words[touched], groups[touched]
+    stride = int(words.max()) + 1
+    distinct = np.unique(groups * stride + words)
+    per_bank = np.bincount(
+        (distinct // stride) * nb + (distinct % stride) % nb,
+        minlength=num_groups * nb,
+    )
+    return per_bank.reshape(num_groups, nb).max(axis=1)
+
+
+def matrix_insts(table, elem_bytes: int) -> int:
+    """ld/stmatrix instructions an access table needs: each moves 16
+    bytes per thread, so the busiest thread sets the count."""
+    return max(1, (table.max_thread_elems() * elem_bytes + 15) // 16)
+
+
+def shared_access_cost(
+    table, spec: GpuSpec, elem_bytes: int, num_warps: int
+) -> Optional[Tuple[int, int, int]]:
+    """``(vector_bits, count, wavefronts)`` of one STS/LDS access table.
+
+    ``count`` is the busiest thread's access count.  Access ``k``
+    costs its worst warp among the first ``num_warps``; ``wavefronts``
+    is the per-access average of that cost (at least 1) and
+    ``vector_bits`` the widest vector those warps issue.  ``None``
+    when the table is empty.
+    """
+    count = table.num_accesses()
+    if count == 0:
+        return None
+    ws = spec.warp_size
+    issued = table.head(num_warps * ws)
+    waves = access_wavefronts(
+        spec,
+        elem_bytes,
+        issued.k * num_warps + issued.tid // ws,
+        issued.off,
+        count * num_warps,
+    )
+    total = int(waves.reshape(count, num_warps).max(axis=1).sum())
+    return (
+        issued.widest() * elem_bytes * 8,
+        count,
+        max(1, total // count),
+    )

@@ -27,7 +27,7 @@ from repro.codegen.plan import ConversionPlan
 from repro.codegen.vectorize import legacy_vector_width_bits, vector_width_bits
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
-from repro.gpusim.memory import SharedMemory
+from repro.gpusim.memory import matrix_insts, shared_access_cost
 from repro.gpusim.trace import Trace
 from repro.hardware.cost import CostModel
 from repro.hardware.instructions import Instruction, InstructionKind
@@ -92,48 +92,17 @@ def policy_for_mode(mode: str) -> CostPolicy:
 # ----------------------------------------------------------------------
 def _price_shared_instr(instr, trace: Trace, spec: GpuSpec, kind) -> None:
     """Price one STS/LDS on warp 0's addresses (all warps congruent)."""
-    memory = SharedMemory(spec, instr.elem_bytes)
-    ws = spec.warp_size
-    lane_lists = instr.accesses[:ws]  # warp 0
-    max_accesses = max((len(a) for a in instr.accesses), default=0)
-    if max_accesses == 0:
+    table = instr.accesses
+    if table.num_accesses() == 0:
         return
-    if kind == InstructionKind.SHARED_STORE and instr.use_stmatrix:
-        _price_matrix(instr, trace, InstructionKind.STMATRIX)
+    store = kind == InstructionKind.SHARED_STORE
+    if instr.use_stmatrix if store else instr.use_ldmatrix:
+        matrix = InstructionKind.STMATRIX if store else InstructionKind.LDMATRIX
+        insts = matrix_insts(table, instr.elem_bytes)
+        trace.emit(matrix, vector_bits=128, count=insts, wavefronts=1)
         return
-    if kind == InstructionKind.SHARED_LOAD and instr.use_ldmatrix:
-        _price_matrix(instr, trace, InstructionKind.LDMATRIX)
-        return
-    total_wavefronts = 0
-    vector_bits = 32
-    for k in range(max_accesses):
-        requests = []
-        for lane_accesses in lane_lists:
-            if k < len(lane_accesses):
-                base, regs = lane_accesses[k]
-                requests.append((base, len(regs)))
-                vector_bits = max(
-                    vector_bits, len(regs) * instr.elem_bytes * 8
-                )
-        if requests:
-            total_wavefronts += memory.wavefronts(
-                requests, kind == InstructionKind.SHARED_STORE
-            )
-    trace.emit(
-        kind,
-        vector_bits=vector_bits,
-        count=max_accesses,
-        wavefronts=max(1, total_wavefronts // max_accesses),
-    )
-
-
-def _price_matrix(instr, trace: Trace, kind: InstructionKind) -> None:
-    bytes_per_lane = 0
-    for lane_accesses in instr.accesses:
-        total = sum(len(regs) for _, regs in lane_accesses)
-        bytes_per_lane = max(bytes_per_lane, total * instr.elem_bytes)
-    insts = max(1, (bytes_per_lane + 15) // 16)
-    trace.emit(kind, vector_bits=128, count=insts, wavefronts=1)
+    vector_bits, count, wavefronts = shared_access_cost(table, spec, instr.elem_bytes, 1)
+    trace.emit(kind, vector_bits=max(32, vector_bits), count=count, wavefronts=wavefronts)
 
 
 def price_program(program: WarpProgram, spec: GpuSpec) -> Trace:

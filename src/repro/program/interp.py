@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.codegen.views import DistributedView
-from repro.gpusim.memory import SharedMemory
+from repro.gpusim.memory import (
+    SharedMemory,
+    matrix_insts,
+    shared_access_cost,
+)
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
@@ -41,55 +45,19 @@ def shared_accounting(
     """Bank accounting of one STS/LDS instruction.
 
     Returns ``("matrix", insts)`` for ld/stmatrix lowering, or
-    ``("vec", vector_bits, count, wavefronts)`` for plain accesses,
-    or ``None`` when the instruction touches nothing.  Addresses are
+    ``("vec", vector_bits, count, wavefronts)`` for plain accesses —
+    each access costing its worst warp among the CTA's ``num_warps``
+    — or ``None`` when the instruction touches nothing.  Addresses are
     static, so this is a pure function of the instruction, the
     platform, and the executing CTA's warp count.
     """
-    accesses = instr.accesses
-    max_accesses = max((len(a) for a in accesses), default=0)
-    if max_accesses == 0:
+    table = instr.accesses
+    if table.num_accesses() == 0:
         return None
-    matrix = instr.use_stmatrix if is_store else instr.use_ldmatrix
-    if matrix:
-        bytes_per_lane = 0
-        for lane_accesses in accesses:
-            total = sum(len(regs) for _, regs in lane_accesses)
-            bytes_per_lane = max(
-                bytes_per_lane, total * instr.elem_bytes
-            )
-        return ("matrix", max(1, (bytes_per_lane + 15) // 16))
-    memory = SharedMemory(spec, instr.elem_bytes)
-    ws = spec.warp_size
-    total_wavefronts = 0
-    vector_bits = 0
-    for k in range(max_accesses):
-        worst = 0
-        for w in range(num_warps):
-            requests = []
-            for lane in range(ws):
-                tid = w * ws + lane
-                if tid >= len(accesses):
-                    continue
-                lane_accesses = accesses[tid]
-                if k < len(lane_accesses):
-                    base, regs = lane_accesses[k]
-                    requests.append((base, len(regs)))
-            if not requests:
-                continue
-            worst = max(
-                worst, memory.wavefronts(requests, is_store=is_store)
-            )
-            vector_bits = max(
-                vector_bits,
-                max(n for _, n in requests) * instr.elem_bytes * 8,
-            )
-        total_wavefronts += worst
-    return (
-        "vec",
-        vector_bits,
-        max_accesses,
-        max(1, total_wavefronts // max_accesses),
+    if instr.use_stmatrix if is_store else instr.use_ldmatrix:
+        return ("matrix", matrix_insts(table, instr.elem_bytes))
+    return ("vec",) + shared_access_cost(
+        table, spec, instr.elem_bytes, num_warps
     )
 
 
@@ -280,34 +248,26 @@ class ScalarInterpreter:
                 ):
                     dst.write(w, lane, d_reg, src.read(w, s_lane, s_reg))
 
-    def _requests(self, instr, warp: int, k: int) -> List[Tuple]:
+    def _requests(self, instr):
+        """``(warp, lane, base, regs)`` in machine issue order."""
         ws = self.spec.warp_size
-        out = []
-        for lane in range(ws):
-            tid = warp * ws + lane
-            if tid >= len(instr.accesses):
-                continue
-            lane_accesses = instr.accesses[tid]
-            if k < len(lane_accesses):
-                base, regs = lane_accesses[k]
-                out.append((lane, base, regs))
-        return out
+        view = instr.accesses.per_thread()[: self.num_warps * ws]
+        max_accesses = max((len(a) for a in view), default=0)
+        for k in range(max_accesses):
+            for tid, lane_accesses in enumerate(view):
+                if k < len(lane_accesses):
+                    base, regs = lane_accesses[k]
+                    yield tid // ws, tid % ws, base, regs
 
     def _sts(self, instr, src: RegisterFile, memory: SharedMemory) -> None:
-        max_accesses = max((len(a) for a in instr.accesses), default=0)
-        for k in range(max_accesses):
-            for w in range(self.num_warps):
-                for lane, base, regs in self._requests(instr, w, k):
-                    for j, reg in enumerate(regs):
-                        memory.write(base + j, src.read(w, lane, reg))
+        for w, lane, base, regs in self._requests(instr):
+            for j, reg in enumerate(regs):
+                memory.write(base + j, src.read(w, lane, reg))
 
     def _lds(self, instr, dst: RegisterFile, memory: SharedMemory) -> None:
-        max_accesses = max((len(a) for a in instr.accesses), default=0)
-        for k in range(max_accesses):
-            for w in range(self.num_warps):
-                for lane, base, regs in self._requests(instr, w, k):
-                    for j, reg in enumerate(regs):
-                        dst.write(w, lane, reg, memory.read(base + j))
+        for w, lane, base, regs in self._requests(instr):
+            for j, reg in enumerate(regs):
+                dst.write(w, lane, reg, memory.read(base + j))
 
     # -- gather instructions -------------------------------------------
     def _gather_shfl(
@@ -572,14 +532,8 @@ class VectorInterpreter:
             instr, arrays, warps, lanes, regs
         )
         view = DistributedView(layout)
-        owner_lane = np.zeros_like(src_flat)
-        owner_reg = np.zeros_like(src_flat)
-        for pos, (dim, i) in view.bit_owner.items():
-            sel = (src_flat >> pos) & 1
-            if dim == LANE:
-                owner_lane |= sel << i
-            elif dim == REGISTER:
-                owner_reg |= sel << i
+        owner_lane = view.owner_indices(src_flat, LANE)
+        owner_reg = view.owner_indices(src_flat, REGISTER)
         w_mesh = np.arange(warps).reshape(-1, 1, 1)
         w_mesh = np.broadcast_to(w_mesh, src_flat.shape)
         out = np.full((nw, ws, regs), None, dtype=object)
@@ -615,31 +569,12 @@ def _compile_shfl(instr):
 
 def _compile_shared(instr, warp_size: int, num_warps: int):
     """Flat (warp, lane, reg, offset) indices in machine write order."""
-    w_idx: List[int] = []
-    l_idx: List[int] = []
-    r_idx: List[int] = []
-    off: List[int] = []
-    accesses = instr.accesses
-    max_accesses = max((len(a) for a in accesses), default=0)
-    for k in range(max_accesses):
-        for w in range(num_warps):
-            for lane in range(warp_size):
-                tid = w * warp_size + lane
-                if tid >= len(accesses):
-                    continue
-                lane_accesses = accesses[tid]
-                if k < len(lane_accesses):
-                    base, regs = lane_accesses[k]
-                    for j, reg in enumerate(regs):
-                        w_idx.append(w)
-                        l_idx.append(lane)
-                        r_idx.append(reg)
-                        off.append(base + j)
+    table = instr.accesses.head(num_warps * warp_size)
     return (
-        np.asarray(w_idx, dtype=np.intp),
-        np.asarray(l_idx, dtype=np.intp),
-        np.asarray(r_idx, dtype=np.intp),
-        np.asarray(off, dtype=np.intp),
+        (table.tid // warp_size).astype(np.intp),
+        (table.tid % warp_size).astype(np.intp),
+        table.reg.astype(np.intp),
+        table.off.astype(np.intp),
     )
 
 
@@ -653,9 +588,9 @@ def _alloc_memory(
         size = 1
         for instr in program.instrs:
             if instr.opcode in (Opcode.STS, Opcode.LDS):
-                for lane_accesses in instr.accesses:
-                    for base, regs in lane_accesses:
-                        size = max(size, base + len(regs))
+                off = instr.accesses.off
+                if len(off):
+                    size = max(size, int(off.max()) + 1)
             elif instr.opcode in (
                 Opcode.GATHER_STS,
                 Opcode.GATHER_LDS,

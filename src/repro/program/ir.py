@@ -29,18 +29,13 @@ import enum
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.codegen.access import AccessTable, describe_shared
 from repro.core.layout import LinearLayout
 
 #: Conventional register-space names.
 R_IN = "in"
 R_OUT = "out"
 R_IDX = "idx"
-
-#: Per-lane access lists: ``accesses[tid]`` is a tuple of
-#: ``(base_offset, regs)`` pairs — the thread moves the registers in
-#: ``regs`` contiguously starting at element offset ``base_offset``.
-AccessList = Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
-
 
 class Opcode(enum.Enum):
     """The warp-level instruction classes of the program IR."""
@@ -141,13 +136,14 @@ class MovR:
 
 @dataclass(frozen=True)
 class Sts:
-    """Per-lane vectorized stores to shared memory (``st.shared``).
+    """Vectorized stores of every thread to shared memory (``st.shared``).
 
-    ``accesses[tid]`` carries the bank-relevant element addresses;
-    entry ``k`` across lanes forms one lockstep warp instruction.
+    ``accesses`` is the :class:`~repro.codegen.access.AccessTable` of
+    bank-relevant element addresses; group ``k`` across threads forms
+    one lockstep warp instruction.
     """
 
-    accesses: AccessList
+    accesses: AccessTable
     elem_bytes: int
     use_stmatrix: bool = False
     src: str = R_IN
@@ -163,14 +159,17 @@ class Sts:
     kills = False
 
     def describe(self) -> str:
-        return _describe_shared("sts", self, self.use_stmatrix)
+        return describe_shared(
+            "sts", "threads", self.accesses, self.elem_bytes,
+            "matrix" if self.use_stmatrix else "",
+        )
 
 
 @dataclass(frozen=True)
 class Lds:
-    """Per-lane vectorized loads from shared memory (``ld.shared``)."""
+    """Vectorized loads from shared memory (``ld.shared``)."""
 
-    accesses: AccessList
+    accesses: AccessTable
     elem_bytes: int
     use_ldmatrix: bool = False
     dst: str = R_OUT
@@ -187,7 +186,10 @@ class Lds:
     kills = True
 
     def describe(self) -> str:
-        return _describe_shared("lds", self, self.use_ldmatrix)
+        return describe_shared(
+            "lds", "threads", self.accesses, self.elem_bytes,
+            "matrix" if self.use_ldmatrix else "",
+        )
 
 
 @dataclass(frozen=True)
@@ -369,8 +371,8 @@ class WarpProgram:
 
         The maximum register index any instruction reads from or
         writes to the space, plus one (zero when untouched).
-        Memoized in :attr:`scratch` — access lists can be large and
-        the interpreters ask on every run.
+        Memoized in :attr:`scratch` — shuffle routing tables are
+        walked in Python and the interpreters ask on every run.
         """
         key = ("nregs", space)
         cached = self.scratch.get(key)
@@ -395,10 +397,9 @@ class WarpProgram:
                 touched = (
                     instr.src if op == Opcode.STS else instr.dst
                 )
-                if touched == space:
-                    for lane_accesses in instr.accesses:
-                        for _, regs in lane_accesses:
-                            hi = max(hi, max(regs, default=-1))
+                regs = instr.accesses.reg
+                if touched == space and len(regs):
+                    hi = max(hi, int(regs.max()))
         self.scratch[key] = hi + 1
         return hi + 1
 
@@ -419,22 +420,8 @@ class WarpProgram:
         )
 
 
-def _describe_shared(mnemonic: str, instr, matrix: bool) -> str:
-    lanes = len(instr.accesses)
-    per_lane = max((len(a) for a in instr.accesses), default=0)
-    widest = max(
-        (len(regs) for lane in instr.accesses for _, regs in lane),
-        default=0,
-    )
-    note = ", matrix" if matrix else ""
-    return (
-        f"{mnemonic}: {lanes} threads x {per_lane} accesses, "
-        f"vec {widest * instr.elem_bytes * 8}b{note}"
-    )
-
-
 __all__ = [
-    "AccessList",
+    "AccessTable",
     "Bar",
     "GatherLds",
     "GatherShfl",

@@ -1,11 +1,13 @@
 """JSON round-tripping of warp programs.
 
 Programs carry nothing but plain operands (ints, strings, nested
-tuples) plus the occasional :class:`LinearLayout`, so serialization is
-a mechanical field walk: tuples become lists, layouts become their
-``to_dict`` form tagged with ``"__layout__"``, and the opcode names
-the instruction class on the way back in.  ``scratch`` (backend
-memoization) is deliberately not serialized — it is derived state.
+tuples) plus the occasional :class:`LinearLayout` or
+:class:`AccessTable`, so serialization is a mechanical field walk:
+tuples become lists, layouts become their ``to_dict`` form tagged with
+``"__layout__"``, access tables their per-thread ``[[base, [regs]],
+...]`` lists, and the opcode names the instruction class on the way
+back in.  ``scratch`` (backend memoization) is deliberately not
+serialized — it is derived state.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
+from repro.codegen.access import AccessTable
 from repro.core.layout import LinearLayout
 from repro.program.ir import (
     Opcode,
@@ -25,6 +28,11 @@ from repro.program.ir import (
 def _encode_value(value):
     if isinstance(value, LinearLayout):
         return {"__layout__": value.to_dict()}
+    if isinstance(value, AccessTable):
+        return [
+            [[base, list(regs)] for base, regs in lane]
+            for lane in value.per_thread()
+        ]
     if isinstance(value, tuple):
         return [_encode_value(v) for v in value]
     return value
@@ -54,6 +62,8 @@ def instr_from_dict(data: Dict[str, object]):
         for name, value in data.items()
         if name != "op"
     }
+    if "accesses" in kwargs:
+        kwargs["accesses"] = AccessTable.from_per_thread(kwargs["accesses"])
     return cls(**kwargs)
 
 
