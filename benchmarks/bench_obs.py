@@ -22,11 +22,10 @@ handful of span records is a visible fraction of almost nothing.
 
 import json
 import os
-import sys
-import time
 from pathlib import Path
 
 from conftest import run_once
+from repro.bench.harness import bench_record, publish_record
 from repro.bench.obsbench import (
     run_noop_latency,
     run_overhead,
@@ -62,23 +61,14 @@ def test_obs_overhead_and_noop(benchmark):
 
 def record(overhead: dict, noop: dict) -> dict:
     """The BENCH_obs.json entry for one run."""
-    return {
-        "bench": "obs",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cpu_count": os.cpu_count(),
-        "max_cold_overhead": MAX_COLD_OVERHEAD,
-        "max_noop_ns": MAX_NOOP_NS,
-        "overhead": overhead,
-        "noop": noop,
-    }
-
-
-def append_record(entry: dict) -> None:
-    history = []
-    if BENCH_FILE.exists():
-        history = json.loads(BENCH_FILE.read_text())
-    history.append(entry)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n")
+    return bench_record(
+        "obs",
+        cpu_count=os.cpu_count(),
+        max_cold_overhead=MAX_COLD_OVERHEAD,
+        max_noop_ns=MAX_NOOP_NS,
+        overhead=overhead,
+        noop=noop,
+    )
 
 
 def check(entry: dict) -> int:
@@ -117,17 +107,11 @@ def check(entry: dict) -> int:
 if __name__ == "__main__":
     overhead = run_overhead()
     noop = run_noop_latency()
-    entry = record(overhead, noop)
-    if "--json" in sys.argv:
-        print(json.dumps(entry, indent=2))
-    else:
-        print(json.dumps(overhead, indent=2))
-        print(json.dumps(noop, indent=2))
-    if "--no-record" not in sys.argv:
-        append_record(entry)
-        print(
-            f"appended cold {overhead['cold_overhead']:+.2%} / "
-            f"noop {noop['ns_per_hook_pair']}ns to {BENCH_FILE}"
-        )
-    if "--check" in sys.argv:
-        sys.exit(check(entry))
+    publish_record(
+        BENCH_FILE,
+        record(overhead, noop),
+        f"{json.dumps(overhead, indent=2)}\n{json.dumps(noop, indent=2)}",
+        f"cold {overhead['cold_overhead']:+.2%} / "
+        f"noop {noop['ns_per_hook_pair']}ns",
+        check,
+    )

@@ -17,11 +17,10 @@ backend falls short of 2x throughput at 4 workers vs 1.
 
 import json
 import os
-import sys
-import time
 from pathlib import Path
 
 from conftest import run_once
+from repro.bench.harness import bench_record, publish_record
 from repro.bench.servebench import (
     run_dedup,
     run_equivalence,
@@ -47,29 +46,20 @@ def test_serve_equivalence_and_dedup(benchmark):
 def record(table, dedup, equiv) -> dict:
     """The BENCH_serve.json entry for one run."""
     speedups = throughput_speedups(table)
-    return {
-        "bench": "serve",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cpu_count": os.cpu_count(),
-        "suite_requests": len(suite_requests()),
-        "speedup_thread": speedups.get("thread"),
-        "speedup_process": speedups.get("process"),
-        "workers_at_speedup": speedups.get("process_workers"),
-        "target_speedup_at_4_workers": 2.0,
-        "dedup": dedup,
-        "equivalence": {
+    return bench_record(
+        "serve",
+        cpu_count=os.cpu_count(),
+        suite_requests=len(suite_requests()),
+        speedup_thread=speedups.get("thread"),
+        speedup_process=speedups.get("process"),
+        workers_at_speedup=speedups.get("process_workers"),
+        target_speedup_at_4_workers=2.0,
+        dedup=dedup,
+        equivalence={
             k: v for k, v in equiv.items() if k != "first_mismatches"
         },
-        "table": table.to_dict(),
-    }
-
-
-def append_record(entry: dict) -> None:
-    history = []
-    if BENCH_FILE.exists():
-        history = json.loads(BENCH_FILE.read_text())
-    history.append(entry)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n")
+        table=table.to_dict(),
+    )
 
 
 def check(entry: dict) -> int:
@@ -104,17 +94,12 @@ if __name__ == "__main__":
     dedup = run_dedup()
     equiv = run_equivalence(str(GOLDEN))
     entry = record(table, dedup, equiv)
-    if "--json" in sys.argv:
-        print(json.dumps(entry, indent=2))
-    else:
-        print(table.format())
-        print(f"dedup: {json.dumps(dedup)}")
-        print(f"equivalence: {json.dumps({k: v for k, v in equiv.items() if k != 'first_mismatches'})}")
-    if "--no-record" not in sys.argv:
-        append_record(entry)
-        print(
-            f"appended thread {entry['speedup_thread']}x / "
-            f"process {entry['speedup_process']}x to {BENCH_FILE}"
-        )
-    if "--check" in sys.argv:
-        sys.exit(check(entry))
+    publish_record(
+        BENCH_FILE,
+        entry,
+        f"{table.format()}\ndedup: {json.dumps(dedup)}\n"
+        f"equivalence: {json.dumps(entry['equivalence'])}",
+        f"thread {entry['speedup_thread']}x / "
+        f"process {entry['speedup_process']}x",
+        check,
+    )

@@ -5,14 +5,13 @@ Run as a script to print the table and append an aggregate record to
 record instead of the table; ``--no-record`` skips the append).
 """
 
-import json
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from conftest import run_once
+from repro.bench.harness import bench_record, publish_record
 from repro.bench.simthroughput import aggregate_speedup, run_sim_throughput
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
@@ -34,34 +33,21 @@ def record(table) -> dict:
     runs = iters * len(table.rows)
     scalar_s = sum(table.column("scalar_ms")) * iters / 1e3
     vector_s = sum(table.column("vector_ms")) * iters / 1e3
-    return {
-        "bench": "sim_throughput",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cases": len(table.rows),
-        "scalar_plans_per_s": round(runs / scalar_s, 2),
-        "vector_plans_per_s": round(runs / vector_s, 2),
-        "speedup": round(aggregate_speedup(table), 2),
-        "table": table.to_dict(),
-    }
-
-
-def append_record(entry: dict) -> None:
-    history = []
-    if BENCH_FILE.exists():
-        history = json.loads(BENCH_FILE.read_text())
-    history.append(entry)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n")
+    return bench_record(
+        "sim_throughput",
+        cases=len(table.rows),
+        scalar_plans_per_s=round(runs / scalar_s, 2),
+        vector_plans_per_s=round(runs / vector_s, 2),
+        speedup=round(aggregate_speedup(table), 2),
+        table=table.to_dict(),
+    )
 
 
 if __name__ == "__main__":
     result = run_sim_throughput()
     entry = record(result)
-    if "--json" in sys.argv:
-        print(json.dumps(entry, indent=2))
-    else:
-        print(result.format())
-    if "--no-record" not in sys.argv:
-        append_record(entry)
-        print(f"appended speedup {entry['speedup']}x to {BENCH_FILE}")
+    publish_record(
+        BENCH_FILE, entry, result.format(), f"speedup {entry['speedup']}x"
+    )
     if entry["speedup"] < 3.0:
         sys.exit("FAIL: vectorized interpreter below 3x scalar throughput")

@@ -23,6 +23,7 @@ from repro.bench.harness import Table
 from repro.codegen.conversion import plan_conversion
 from repro.gpusim.opcost import price_plan
 from repro.hardware.spec import GH200
+from repro.program.ir import Opcode
 from repro.layouts import (
     BlockedLayout,
     MmaOperandLayout,
@@ -79,8 +80,6 @@ def ablate_broadcast_dedupe() -> List[List]:
     A source whose warps replicate the data 4x issues 4x the stores
     unless the zero-column analysis skips the replicas (Section 5.1).
     """
-    from repro.codegen.plan import SharedStore
-
     src = BlockedLayout((2, 8), (8, 4), (1, 1), (1, 0)).to_linear(
         (16, 32)
     )
@@ -92,9 +91,9 @@ def ablate_broadcast_dedupe() -> List[List]:
             src, dst, 16, spec=GH200, dedupe_broadcast=dedupe
         )
         total = 0
-        for step in plan.steps:
-            if isinstance(step, SharedStore):
-                total = len(step.accesses.group_starts())
+        for instr in plan.program():
+            if instr.opcode == Opcode.STS:
+                total = len(instr.accesses.group_starts())
         return total
 
     full = store_count(True)

@@ -1,9 +1,18 @@
-"""Result tables: collection, formatting, and simple assertions."""
+"""Result tables: collection, formatting, and simple assertions.
+
+Also the shared tail of the benchmark scripts that keep a ``BENCH_*.json``
+history: :func:`bench_record` stamps an entry, :func:`publish_record`
+prints, appends and gates it.
+"""
 
 from __future__ import annotations
 
+import json
+import sys
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -72,3 +81,32 @@ def geomean(values: Sequence[float]) -> float:
     for v in values:
         prod *= v
     return prod ** (1.0 / len(values))
+
+
+def bench_record(bench: str, **fields: Any) -> Dict[str, Any]:
+    """A ``BENCH_*.json`` entry: the bench name, a UTC timestamp, ``fields``."""
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    return {"bench": bench, "timestamp": stamp, **fields}
+
+
+def publish_record(
+    path: Path,
+    entry: Dict[str, Any],
+    summary: str,
+    appended: str,
+    check: Optional[Callable[[Dict[str, Any]], int]] = None,
+) -> None:
+    """Print, append and gate one benchmark run by its CLI flags.
+
+    ``--json`` prints ``entry`` instead of ``summary``; unless
+    ``--no-record`` is given, ``entry`` is appended to the JSON list at
+    ``path``; with ``--check``, the process exits with ``check(entry)``.
+    """
+    print(json.dumps(entry, indent=2) if "--json" in sys.argv else summary)
+    if "--no-record" not in sys.argv:
+        history = json.loads(path.read_text()) if path.exists() else []
+        history.append(entry)
+        path.write_text(json.dumps(history, indent=2) + "\n")
+        print(f"appended {appended} to {path}")
+    if check is not None and "--check" in sys.argv:
+        sys.exit(check(entry))

@@ -208,13 +208,11 @@ def group_contiguous(
     )
 
 
-def describe_shared(
-    label: str, unit: str, table: AccessTable, elem_bytes: int, note: str
-) -> str:
+def describe_shared(table: AccessTable, elem_bytes: int, note: str) -> str:
     """One-line summary of a shared access: threads, accesses, width."""
     note = f", {note}" if note else ""
     return (
-        f"{label}: {len(table)} {unit} x {table.num_accesses()} accesses, "
+        f"{len(table)} threads x {table.num_accesses()} accesses, "
         f"vec {table.widest() * elem_bytes * 8}b{note}"
     )
 

@@ -25,13 +25,7 @@ from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import LayoutError
 from repro.core.layout import LinearLayout
 from repro.codegen.access import AccessTable, group_contiguous
-from repro.codegen.plan import (
-    Barrier,
-    ConversionPlan,
-    RegisterPermute,
-    SharedLoad,
-    SharedStore,
-)
+from repro.codegen.plan import ConversionPlan
 from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
 from repro.codegen.swizzle import SwizzlePlan, optimal_swizzled_layout
 from repro.codegen.views import DistributedView
@@ -70,13 +64,37 @@ def classify_conversion(
     return ConversionKind.SHARED
 
 
-def _register_permutation(
-    src: LinearLayout, dst: LinearLayout
-) -> RegisterPermute:
-    """The table ``dst_reg <- src_reg``, uniform across lanes/warps."""
+def _register_permutation(src: LinearLayout, dst: LinearLayout):
+    """The move ``out[r] <- in[table[r]]``, uniform across lanes/warps."""
+    from repro.program.ir import MovR
+
     sv = DistributedView(src)
-    return RegisterPermute(
-        tuple(sv.reg_of(p) for p in dst.image_table([REGISTER]).tolist())
+    return MovR(
+        dst_to_src=tuple(
+            sv.reg_of(p) for p in dst.image_table([REGISTER]).tolist()
+        ),
+        lanes=dst.in_dim_size(LANE),
+        warps=dst.in_dim_size(WARP),
+    )
+
+
+def _shared_program(
+    stores: AccessTable,
+    loads: AccessTable,
+    elem_bytes: int,
+    use_stmatrix: bool = False,
+    use_ldmatrix: bool = False,
+):
+    """Stage through shared memory: store, barrier, load."""
+    from repro.program.ir import Bar, Lds, Sts, WarpProgram
+
+    return WarpProgram(
+        (
+            Sts(accesses=stores, elem_bytes=elem_bytes, use_stmatrix=use_stmatrix),
+            Bar(),
+            Lds(accesses=loads, elem_bytes=elem_bytes, use_ldmatrix=use_ldmatrix),
+        ),
+        label="shared",
     )
 
 
@@ -191,7 +209,7 @@ def plan_conversion(
     Plans are memoized in :data:`repro.cache.plans` keyed on the
     canonical layout keys, the hardware spec, and every planner
     option; callers must treat the returned plan as immutable (its
-    steps already are).  ``repro.cache.clear()`` invalidates;
+    instructions already are).  ``repro.cache.clear()`` invalidates;
     ``REPRO_CACHE=0`` bypasses.
     """
     key = (
@@ -235,6 +253,7 @@ def _plan_conversion_uncached(
     memory_layout: Optional[LinearLayout],
 ) -> ConversionPlan:
     from repro.layouts.cta import same_block_component, strip_block
+    from repro.program.ir import R_IN, WarpProgram
 
     if not same_block_component(src, dst):
         raise LayoutError(
@@ -247,13 +266,20 @@ def _plan_conversion_uncached(
     dst = strip_block(dst)
     kind = classify_conversion(src, dst)
     if kind == ConversionKind.NOOP:
-        return ConversionPlan(kind="noop", src=src, dst=dst)
+        return ConversionPlan(
+            kind="noop",
+            src=src,
+            dst=dst,
+            warp_program=WarpProgram((), result=R_IN, label="noop"),
+        )
     if kind == ConversionKind.REGISTER:
         return ConversionPlan(
             kind="register",
             src=src,
             dst=dst,
-            steps=[_register_permutation(src, dst)],
+            warp_program=WarpProgram(
+                (_register_permutation(src, dst),), label="register"
+            ),
         )
     if kind == ConversionKind.SHUFFLE and allow_shuffle:
         try:
@@ -261,7 +287,10 @@ def _plan_conversion_uncached(
                 src, dst, elem_bits, shuffle_bits=spec.shuffle_bytes * 8
             )
             return ConversionPlan(
-                kind="shuffle", src=src, dst=dst, steps=list(rounds)
+                kind="shuffle",
+                src=src,
+                dst=dst,
+                warp_program=WarpProgram(tuple(rounds), label="shuffle"),
             )
         except ShufflePlanError as exc:
             note = f"shuffle fallback: {exc}"
@@ -281,7 +310,7 @@ def _plan_conversion_uncached(
         fixed = _plan_from_memory_layout(
             memory_layout, src, dst, elem_bits
         )
-        steps, extra_notes = _shared_steps_for_swizzle(
+        program, extra_notes = _shared_program_for_swizzle(
             fixed, src, dst, elem_bits, spec,
             num_warps, dedupe_broadcast,
         )
@@ -289,7 +318,7 @@ def _plan_conversion_uncached(
             kind="shared",
             src=src,
             dst=dst,
-            steps=steps,
+            warp_program=program,
             shared_bytes=(1 << d) * elem_bytes,
             notes=notes + ["fixed staging layout"] + extra_notes,
         )
@@ -310,7 +339,7 @@ def _plan_conversion_uncached(
         )
         best = None
         for swplan in candidates:
-            steps, extra_notes = _shared_steps_for_swizzle(
+            program, extra_notes = _shared_program_for_swizzle(
                 swplan, src, dst, elem_bits, spec,
                 num_warps, dedupe_broadcast,
             )
@@ -318,7 +347,7 @@ def _plan_conversion_uncached(
                 kind="shared",
                 src=src,
                 dst=dst,
-                steps=steps,
+                warp_program=program,
                 shared_bytes=(1 << d) * elem_bytes,
                 notes=notes + extra_notes,
             )
@@ -365,16 +394,11 @@ def _plan_conversion_uncached(
         dst, offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast=False, sort_by_offset=True,
     )
-    steps = [
-        SharedStore(accesses=stores, elem_bytes=elem_bytes),
-        Barrier(),
-        SharedLoad(accesses=loads, elem_bytes=elem_bytes),
-    ]
     return ConversionPlan(
         kind="shared",
         src=src,
         dst=dst,
-        steps=steps,
+        warp_program=_shared_program(stores, loads, elem_bytes),
         shared_bytes=shared_bytes,
         notes=notes,
     )
@@ -429,7 +453,7 @@ def _plan_cost(plan: ConversionPlan, spec: GpuSpec) -> float:
     return price_plan(plan, spec).cycles()
 
 
-def _shared_steps_for_swizzle(
+def _shared_program_for_swizzle(
     swplan,
     src: LinearLayout,
     dst: LinearLayout,
@@ -438,7 +462,7 @@ def _shared_steps_for_swizzle(
     num_warps: int,
     dedupe_broadcast: bool,
 ):
-    """Build store/barrier/load steps for one candidate staging layout."""
+    """The store/barrier/load program for one candidate staging layout."""
     from repro.codegen.division import ldmatrix_applicable
     from repro.hardware.instructions import ldmatrix_tile
 
@@ -476,20 +500,10 @@ def _shared_steps_for_swizzle(
             f"matrix insts: ldmatrix={use_ldmatrix}, "
             f"stmatrix={use_stmatrix}"
         )
-    steps = [
-        SharedStore(
-            accesses=stores,
-            elem_bytes=elem_bytes,
-            use_stmatrix=use_stmatrix,
-        ),
-        Barrier(),
-        SharedLoad(
-            accesses=loads,
-            elem_bytes=elem_bytes,
-            use_ldmatrix=use_ldmatrix,
-        ),
-    ]
-    return steps, extra_notes
+    program = _shared_program(
+        stores, loads, elem_bytes, use_stmatrix, use_ldmatrix
+    )
+    return program, extra_notes
 
 
 def _try_matrix_staging(

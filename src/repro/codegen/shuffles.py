@@ -17,7 +17,6 @@ import numpy as np
 from repro import cache as _cache
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
-from repro.codegen.plan import ShuffleRound
 from repro.codegen.views import DistributedView
 from repro.f2.bitvec import iter_set_bits
 
@@ -151,15 +150,17 @@ def plan_warp_shuffle(
 ) -> List[object]:
     """Build the shuffle plan converting ``src`` to ``dst``.
 
-    Returns a list of :class:`ShuffleRound` steps, optionally followed
-    by a :class:`RegisterPermute` that fans received values out to the
-    destination's broadcast register replicas.  Raises
+    Returns the :class:`~repro.program.ir.Shfl` rounds (reading the
+    source file ``in``, writing ``out``), optionally followed by an
+    in-place :class:`~repro.program.ir.MovR` on ``out`` that fans
+    received values out to the destination's broadcast register
+    replicas.  Raises
     :class:`ShufflePlanError` when the preconditions of Section 5.4 do
     not hold; the caller then falls back to the shared memory path.
 
-    Both outcomes — the step list and the planner rejection — are
-    memoized on the canonical layout keys, so a hot conversion pays
-    the coset enumeration once.
+    Both outcomes — the instruction list and the planner rejection —
+    are memoized on the canonical layout keys, so a hot conversion
+    pays the coset enumeration once.
     """
     key = (
         "warp_shuffle",
@@ -191,7 +192,8 @@ def _plan_warp_shuffle(
     elem_bits: int,
     shuffle_bits: int,
 ) -> List[object]:
-    from repro.codegen.plan import RegisterPermute
+    from repro.program.ir import R_OUT, Shfl
+    from repro.program.lower import lower_register_permute
 
     full_src, full_dst = src_layout, dst_layout
     pre_ok, why = shuffle_preconditions(
@@ -246,7 +248,8 @@ def _plan_warp_shuffle(
     s_regs = _real_regs(keep_src)[src.owner_indices(flats, REGISTER)]
     d_regs = _real_regs(keep_dst)[dst.owner_indices(flats, REGISTER)]
 
-    rounds: List[ShuffleRound] = []
+    warps = full_src.in_dim_size(WARP)
+    instrs: List[object] = []
     for rnd in range(len(bases)):
         s_lane, d_lane = s_lanes[rnd], d_lanes[rnd]
         _check_coset(s_lane, d_lane, num_lanes)
@@ -256,15 +259,15 @@ def _plan_warp_shuffle(
         send_regs[s_lane] = s_regs[rnd]
         recv_regs = np.empty((num_lanes, vec), dtype=np.int64)
         recv_regs[d_lane] = d_regs[rnd]
-        rounds.append(
-            ShuffleRound(
+        instrs.append(
+            Shfl(
                 src_lane=tuple(src_lane_of.tolist()),
                 send_regs=tuple(map(tuple, send_regs.tolist())),
                 recv_regs=tuple(map(tuple, recv_regs.tolist())),
-                insts_per_round=insts,
+                warps=warps,
+                insts=insts,
             )
         )
-    steps: List[object] = list(rounds)
     n_dst_bits = full_dst.in_dim_size_log2(REGISTER)
     if len(keep_dst) < n_dst_bits:
         # Fan the canonical values out to every broadcast replica.
@@ -274,5 +277,7 @@ def _plan_warp_shuffle(
         table = tuple(
             r & ~free_mask for r in range(1 << n_dst_bits)
         )
-        steps.append(RegisterPermute(table))
-    return steps
+        instrs.extend(
+            lower_register_permute(table, full_dst, src=R_OUT, dst=R_OUT)
+        )
+    return instrs

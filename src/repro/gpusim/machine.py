@@ -112,7 +112,7 @@ class Machine:
         )
 
     # ------------------------------------------------------------------
-    # Plan-level conveniences (lower, then interpret)
+    # Plan-level conveniences (interpret the plan's program)
     # ------------------------------------------------------------------
     def run_conversion(
         self, plan: ConversionPlan, src: RegisterFile

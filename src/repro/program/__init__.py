@@ -1,8 +1,8 @@
 """The unified warp-program IR (execution = pricing = tracing).
 
 One instruction stream for everything the backend does with a lowered
-layout operation: the planners produce it (:mod:`repro.program.lower`),
-the peephole optimizer rewrites it (:mod:`repro.program.optimize`),
+layout operation: the conversion planners (:mod:`repro.codegen`) and
+the gather/permute builders (:mod:`repro.program.lower`) produce it,
 two interpreters execute it (:mod:`repro.program.interp` — a NumPy
 vectorized default and a scalar differential-testing oracle), the cost
 model prices it (:func:`repro.gpusim.opcost.price_program`), and JSON
@@ -35,10 +35,8 @@ from repro.program.lower import (
     broadcast_replication_program,
     lower_gather_shared,
     lower_gather_shuffle,
-    lower_plan,
     lower_register_permute,
 )
-from repro.program.optimize import optimize_program
 from repro.program.serialize import (
     program_from_dict,
     program_from_json,
@@ -67,10 +65,8 @@ __all__ = [
     "instr_fields",
     "lower_gather_shared",
     "lower_gather_shuffle",
-    "lower_plan",
     "lower_register_permute",
     "make_interpreter",
-    "optimize_program",
     "program_from_dict",
     "program_from_json",
     "program_to_dict",

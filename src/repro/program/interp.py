@@ -351,6 +351,9 @@ class VectorInterpreter:
     sparse register files); each instruction's routing tables compile
     once into flat index arrays, cached on the program, after which
     every execution is a handful of fancy-indexing gathers/scatters.
+    Shared memory keeps a boolean stored-mask beside its values, so a
+    load of an offset nothing stored raises the same ``KeyError`` as
+    the scalar backend's :class:`SharedMemory`.
     """
 
     backend = "vector"
@@ -379,6 +382,7 @@ class VectorInterpreter:
             regs = max(program.num_regs(name), rf.num_regs)
             arrays[name] = rf.dense(nw, ws, regs)
         memory: Optional[np.ndarray] = None
+        stored: Optional[np.ndarray] = None
         mem_bytes = 4
         written = set()
         for i, instr in enumerate(program.instrs):
@@ -420,6 +424,7 @@ class VectorInterpreter:
                 w_idx, l_idx, r_idx, off = plan
                 mem_bytes = instr.elem_bytes
                 memory = _alloc_memory(program, ws, self.num_warps)
+                stored = _stored_mask(program, key, len(memory), off)
                 if len(off):
                     memory[off] = arrays[instr.src][w_idx, l_idx, r_idx]
                 emit_shared(
@@ -443,6 +448,10 @@ class VectorInterpreter:
                     dtype=object,
                 )
                 if len(off):
+                    # Static addresses: a load that passed once passes.
+                    if ("checked", key) not in program.scratch:
+                        _check_stored(stored, off)
+                        program.scratch[("checked", key)] = True
                     out[w_idx, l_idx, r_idx] = memory[off]
                 arrays[instr.dst] = out
                 emit_shared(
@@ -466,9 +475,11 @@ class VectorInterpreter:
                 memory = np.full(
                     1 << layout.total_out_bits(), None, dtype=object
                 )
-                memory[layout.image_table([REGISTER, LANE, WARP])] = arrays[
-                    instr.src
-                ][:warps, :lanes, :regs].ravel()
+                flats = layout.image_table([REGISTER, LANE, WARP])
+                memory[flats] = arrays[instr.src][
+                    :warps, :lanes, :regs
+                ].ravel()
+                stored = _stored_mask(program, key, len(memory), flats)
                 trace.emit(
                     InstructionKind.SHARED_STORE,
                     vector_bits=32,
@@ -485,6 +496,7 @@ class VectorInterpreter:
                 src_flat = self._gather_offsets(
                     instr, arrays, warps, lanes, regs
                 )
+                _check_stored(stored, src_flat.ravel())
                 out = np.full((nw, ws, regs), None, dtype=object)
                 out[:warps, :lanes, :regs] = memory[src_flat]
                 arrays[instr.dst] = out
@@ -576,6 +588,31 @@ def _compile_shared(instr, warp_size: int, num_warps: int):
         table.reg.astype(np.intp),
         table.off.astype(np.intp),
     )
+
+
+def _stored_mask(
+    program: WarpProgram, key, size: int, offsets: np.ndarray
+) -> np.ndarray:
+    """Which shared offsets hold a value after one store.
+
+    Store addresses are static, so the mask is built once per program
+    and instruction and cached in its scratch.
+    """
+    mask = program.scratch.get(("stored", key))
+    if mask is None:
+        mask = np.zeros(size, dtype=bool)
+        mask[offsets] = True
+        program.scratch[("stored", key)] = mask
+    return mask
+
+
+def _check_stored(stored: np.ndarray, offsets: np.ndarray) -> None:
+    """Raise like :meth:`SharedMemory.read` if a load hits an unwritten
+    offset, naming the first one in machine order."""
+    missing = ~stored[offsets]
+    if missing.any():
+        first = int(offsets[int(np.argmax(missing))])
+        raise KeyError(f"shared read of unwritten offset {first}")
 
 
 def _alloc_memory(

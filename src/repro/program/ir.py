@@ -11,15 +11,13 @@ Every backend concern consumes the same stream:
 - pricing — :func:`repro.gpusim.opcost.price_program` turns the
   stream into priced :class:`~repro.hardware.instructions.Instruction`
   records, so simulated cycles and static op counts cannot diverge;
-- optimization — :mod:`repro.program.optimize` peepholes the stream;
 - serialization — :mod:`repro.program.serialize` round-trips it
   through JSON.
 
 Register operands name *register spaces* (whole per-thread register
 files): ``"in"`` holds the source distributed tensor, ``"out"`` the
 destination, ``"idx"`` gather indices.  Individual registers are
-indices into a space, exactly as the plans' routing tables already
-encode them.  Shared-memory operands are element offsets — the
+indices into a space.  Shared-memory operands are element offsets — the
 bank-relevant addresses the cost model measures wavefronts on.
 """
 
@@ -58,7 +56,8 @@ class Shfl:
     value arrives, ``send_regs[src_lane[l]]`` the registers the source
     lane contributes, ``recv_regs[l]`` where lane ``l`` stores them.
     ``insts`` is the real instruction count of the round (a vectorized
-    payload wider than the 32-bit shuffle word issues several).
+    payload wider than the 32-bit shuffle word issues several).  Rounds
+    accumulate into ``dst``: each fills different lanes/registers.
     """
 
     src_lane: Tuple[int, ...]
@@ -76,11 +75,6 @@ class Shfl:
 
     def writes(self) -> Optional[str]:
         return self.dst
-
-    #: Shuffle rounds accumulate into an existing file (each round
-    #: fills different lanes/registers), so the write does not kill
-    #: prior contents.
-    kills = False
 
     def describe(self) -> str:
         crossing = sum(
@@ -100,7 +94,8 @@ class MovR:
     destination register ``r``.  A non-injective table is a broadcast
     fan-out (select/broadcast); the instruction writes a fresh file,
     so it also models register-permute renaming.  Applies to lanes
-    ``< lanes`` of warps ``< warps``.
+    ``< lanes`` of warps ``< warps``.  A negative source register is
+    rejected on construction, so decoded JSON programs are checked too.
     """
 
     dst_to_src: Tuple[int, ...]
@@ -111,18 +106,16 @@ class MovR:
 
     opcode = Opcode.MOVR
 
+    def __post_init__(self):
+        for r in self.dst_to_src:
+            if r < 0:
+                raise ValueError(f"negative source register {r}")
+
     def reads(self) -> Tuple[str, ...]:
         return (self.src,)
 
     def writes(self) -> Optional[str]:
         return self.dst
-
-    #: A register move materializes a fresh destination file.
-    kills = True
-
-    def is_identity(self) -> bool:
-        """True iff every destination register keeps its own value."""
-        return all(d == s for d, s in enumerate(self.dst_to_src))
 
     def describe(self) -> str:
         moved = sum(
@@ -156,13 +149,9 @@ class Sts:
     def writes(self) -> Optional[str]:
         return None
 
-    kills = False
-
     def describe(self) -> str:
-        return describe_shared(
-            "sts", "threads", self.accesses, self.elem_bytes,
-            "matrix" if self.use_stmatrix else "",
-        )
+        note = "matrix" if self.use_stmatrix else ""
+        return f"sts: {describe_shared(self.accesses, self.elem_bytes, note)}"
 
 
 @dataclass(frozen=True)
@@ -182,14 +171,9 @@ class Lds:
     def writes(self) -> Optional[str]:
         return self.dst
 
-    #: The load materializes the destination file from shared memory.
-    kills = True
-
     def describe(self) -> str:
-        return describe_shared(
-            "lds", "threads", self.accesses, self.elem_bytes,
-            "matrix" if self.use_ldmatrix else "",
-        )
+        note = "matrix" if self.use_ldmatrix else ""
+        return f"lds: {describe_shared(self.accesses, self.elem_bytes, note)}"
 
 
 @dataclass(frozen=True)
@@ -203,8 +187,6 @@ class Bar:
 
     def writes(self) -> Optional[str]:
         return None
-
-    kills = False
 
     def describe(self) -> str:
         return "bar"
@@ -235,8 +217,6 @@ class GatherShfl:
     def writes(self) -> Optional[str]:
         return self.dst
 
-    kills = True
-
     def describe(self) -> str:
         return (
             f"gather_shfl {self.src}[{self.index}]->{self.dst}: "
@@ -264,8 +244,6 @@ class GatherSts:
     def writes(self) -> Optional[str]:
         return None
 
-    kills = False
-
     def describe(self) -> str:
         return f"gather_sts {self.src}: {self.layout.total_out_bits()}b"
 
@@ -292,8 +270,6 @@ class GatherLds:
 
     def writes(self) -> Optional[str]:
         return self.dst
-
-    kills = True
 
     def describe(self) -> str:
         return f"gather_lds [{self.index}]->{self.dst}: axis={self.axis}"

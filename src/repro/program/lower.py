@@ -1,11 +1,9 @@
-"""Lowering: conversion/gather plans -> warp programs.
+"""Warp programs for gathers, broadcasts and standalone register moves.
 
-The planners (:mod:`repro.codegen`) decide *what* moves; this module
-rewrites their step lists into the one instruction stream every
-backend consumes.  Lowering is semantics-preserving by construction —
-each plan step maps onto exactly one instruction carrying the same
-routing tables — and the default peephole pass only touches free
-register moves, so priced traces are identical with or without it.
+The conversion planners (:mod:`repro.codegen`) emit their programs
+directly; this module builds the programs of the other producers: the
+two gather strategies, broadcast replication and the register
+permutations of the mxfp operand pre-shuffle.
 """
 
 from __future__ import annotations
@@ -17,107 +15,11 @@ from repro.program.ir import (
     GatherLds,
     GatherShfl,
     GatherSts,
-    Lds,
     MovR,
     R_IN,
     R_OUT,
-    Shfl,
-    Sts,
     WarpProgram,
 )
-
-
-def lower_plan(plan, optimize: bool = True) -> WarpProgram:
-    """Lower a :class:`~repro.codegen.plan.ConversionPlan`.
-
-    The mapping mirrors the plan executor's semantics: shuffle rounds
-    always read the *original* source file (all rounds consume
-    pre-conversion values), a register permute after shuffle rounds
-    fans received values out within the destination file, and a
-    standalone permute is the intra-thread conversion path.
-    """
-    from repro.codegen.plan import (
-        Barrier,
-        RegisterPermute,
-        SharedLoad,
-        SharedStore,
-        ShuffleRound,
-    )
-
-    if plan.kind == "noop":
-        return WarpProgram((), result=R_IN, label="noop")
-
-    src_warps = plan.src.in_dim_size(WARP)
-    dst_lanes = plan.dst.in_dim_size(LANE)
-    dst_warps = plan.dst.in_dim_size(WARP)
-    instrs = []
-    shuffled = False
-    cur = R_IN
-    for step in plan.steps:
-        if isinstance(step, RegisterPermute):
-            if shuffled:
-                instrs.append(
-                    MovR(
-                        dst_to_src=step.dst_to_src,
-                        lanes=dst_lanes,
-                        warps=dst_warps,
-                        src=R_OUT,
-                        dst=R_OUT,
-                    )
-                )
-            else:
-                instrs.append(
-                    MovR(
-                        dst_to_src=step.dst_to_src,
-                        lanes=dst_lanes,
-                        warps=dst_warps,
-                        src=cur,
-                        dst=R_OUT,
-                    )
-                )
-                cur = R_OUT
-        elif isinstance(step, ShuffleRound):
-            shuffled = True
-            instrs.append(
-                Shfl(
-                    src_lane=step.src_lane,
-                    send_regs=step.send_regs,
-                    recv_regs=step.recv_regs,
-                    warps=src_warps,
-                    insts=step.insts_per_round,
-                    src=R_IN,
-                    dst=R_OUT,
-                )
-            )
-        elif isinstance(step, SharedStore):
-            instrs.append(
-                Sts(
-                    accesses=step.accesses,
-                    elem_bytes=step.elem_bytes,
-                    use_stmatrix=step.use_stmatrix,
-                    src=cur,
-                )
-            )
-        elif isinstance(step, Barrier):
-            instrs.append(Bar())
-        elif isinstance(step, SharedLoad):
-            instrs.append(
-                Lds(
-                    accesses=step.accesses,
-                    elem_bytes=step.elem_bytes,
-                    use_ldmatrix=step.use_ldmatrix,
-                    dst=R_OUT,
-                )
-            )
-        else:
-            raise TypeError(f"unknown plan step {step!r}")
-    result = cur if plan.kind == "register" else R_OUT
-    program = WarpProgram(tuple(instrs), result=result, label=plan.kind)
-    if optimize:
-        from repro.program.optimize import optimize_program
-
-        program = optimize_program(program)
-    return program
 
 
 def lower_gather_shuffle(layout: LinearLayout, axis: int) -> WarpProgram:
@@ -126,20 +28,12 @@ def lower_gather_shuffle(layout: LinearLayout, axis: int) -> WarpProgram:
 
     plan = plan_gather(layout, axis)
     return WarpProgram(
-        (
-            GatherShfl(
-                layout=layout,
-                axis=axis,
-                shuffle_count=plan.total_shuffles,
-            ),
-        ),
+        (GatherShfl(layout=layout, axis=axis, shuffle_count=plan.total_shuffles),),
         label="gather-shuffle",
     )
 
 
-def lower_gather_shared(
-    layout: LinearLayout, axis: int, elem_bytes: int = 4
-) -> WarpProgram:
+def lower_gather_shared(layout: LinearLayout, axis: int, elem_bytes: int = 4) -> WarpProgram:
     """The legacy shared-memory gather: stage, barrier, gathered loads."""
     return WarpProgram(
         (
@@ -196,6 +90,5 @@ __all__ = [
     "broadcast_replication_program",
     "lower_gather_shared",
     "lower_gather_shuffle",
-    "lower_plan",
     "lower_register_permute",
 ]

@@ -14,12 +14,12 @@ from repro.codegen.bank_conflicts import (
     conversion_wavefronts,
 )
 from repro.codegen.conversion import plan_conversion
-from repro.codegen.plan import SharedLoad, SharedStore
 from repro.codegen.swizzle import optimal_swizzled_layout
 from repro.core import LANE, REGISTER
 from repro.gpusim.memory import SharedMemory
 from repro.hardware import GH200, RTX4090
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
+from repro.program import Opcode
 from repro.core.reshape import transpose_layout
 from repro.f2.subspace import is_independent
 
@@ -121,11 +121,11 @@ class TestLemmaAgreement:
             pytest.skip("pair does not take the shared path")
         swizzle = optimal_swizzled_layout(src, dst, bits)
         analytic = conversion_wavefronts(swizzle, src, dst)
-        for step in plan.steps:
-            if isinstance(step, SharedStore) and not step.use_stmatrix:
+        for step in plan.program():
+            if step.opcode == Opcode.STS and not step.use_stmatrix:
                 measured = measured_wavefronts(step, GH200, bits // 8)
                 assert measured <= analytic["write"] * 2
-            if isinstance(step, SharedLoad) and not step.use_ldmatrix:
+            if step.opcode == Opcode.LDS and not step.use_ldmatrix:
                 measured = measured_wavefronts(step, GH200, bits // 8)
                 assert measured <= analytic["read"] * 2
 
@@ -141,8 +141,8 @@ class TestLemmaAgreement:
             pytest.skip("not claimed conflict free")
         plan = plan_conversion(src, dst, 16, spec=RTX4090)
         n = max(1, swizzle.vec_elems * 2 // 4)
-        for step in plan.steps:
-            if isinstance(step, SharedStore) and not step.use_stmatrix:
+        for step in plan.program():
+            if step.opcode == Opcode.STS and not step.use_stmatrix:
                 assert measured_wavefronts(step, RTX4090, 2) <= n
 
 

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.codegen.plan import RegisterPermute
 from repro.core import (
     LANE,
     LinearLayout,
@@ -18,6 +17,8 @@ from repro.core import (
     out_dim_names,
 )
 from repro.core.errors import DimensionError
+from repro.program import MovR
+from repro.program.serialize import instr_from_dict
 
 
 class TestDimUtilities:
@@ -95,7 +96,19 @@ class TestLayoutPlumbing:
 class TestPlanValidation:
     def test_register_permute_rejects_negative(self):
         with pytest.raises(ValueError):
-            RegisterPermute((0, -1))
+            MovR((0, -1), lanes=32, warps=1)
+
+    def test_decoded_register_permute_rejects_negative(self):
+        data = {
+            "op": "movr",
+            "dst_to_src": [0, -1],
+            "lanes": 32,
+            "warps": 1,
+            "src": "in",
+            "dst": "out",
+        }
+        with pytest.raises(ValueError):
+            instr_from_dict(data)
 
 
 class TestMatrixInstructionPricing:

@@ -1,11 +1,15 @@
-"""The unified warp-program IR: lowering, interpreters, optimizer.
+"""The unified warp-program IR: planner output, interpreters, JSON.
 
 The heavyweight property: random src/dst layout pairs executed
 through the vectorized interpreter match the scalar oracle AND direct
 ``LinearLayout`` evaluation bit-for-bit — register files *and*
-traces — and peephole-optimized programs match unoptimized ones.
+traces.  A golden pins every program the kernel suite compiles to,
+byte for byte.
 """
 
+import hashlib
+import json
+import os
 import random
 
 import pytest
@@ -24,16 +28,13 @@ from repro.gpusim.registers import assert_matches_layout
 from repro.hardware import GH200, RTX4090
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.program import (
-    MovR,
     R_IN,
-    R_OUT,
-    WarpProgram,
-    lower_plan,
-    optimize_program,
     program_from_json,
+    program_to_dict,
     program_to_json,
 )
 
+from tests.test_pipeline import _compile_golden_case
 from tests.test_random_layout_conversions import (
     random_distributed_layout,
 )
@@ -85,29 +86,21 @@ class TestInterpreterEquivalence:
         assert trace_s.instructions == trace_v.instructions
         assert_matches_layout(out_v, dst)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_optimized_matches_unoptimized(self, seed):
-        rng = random.Random(500 + seed)
-        shape = {"dim0": 16, "dim1": 32}
-        src = random_distributed_layout(rng, 9, shape=shape)
-        dst = random_distributed_layout(rng, 9, shape=shape)
-        plan = plan_conversion(src, dst, elem_bits=16, spec=RTX4090)
-        raw = lower_plan(plan, optimize=False)
-        opt = optimize_program(raw)
-        machine = Machine(RTX4090, 4)
-        registers = distributed_data(src, 4, 32)
-        files_r, trace_r = machine.run_program(raw, {R_IN: registers})
-        files_o, trace_o = machine.run_program(opt, {R_IN: registers})
-        if raw.instrs:
-            assert_matches_layout(files_r[raw.result], dst)
-            assert_matches_layout(files_o[opt.result], dst)
-        # The optimizer only touches free register moves: identical
-        # priced traces, statically and dynamically.
-        assert trace_r.instructions == trace_o.instructions
-        assert (
-            price_program(raw, RTX4090).instructions
-            == price_program(opt, RTX4090).instructions
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_unwritten_shared_read_raises_on_both_backends(self, backend):
+        # A 2-warp staged conversion run on a 1-warp machine: warp 0
+        # loads offsets only warp 1 would have stored.
+        src = BlockedLayout((1, 4), (8, 4), (2, 1), (1, 0)).to_linear(
+            (32, 32)
         )
+        dst = BlockedLayout((4, 1), (4, 8), (1, 2), (0, 1)).to_linear(
+            (32, 32)
+        )
+        plan = plan_conversion(src, dst, 32, spec=RTX4090)
+        assert plan.kind == "shared"
+        machine = Machine(RTX4090, 1, backend=backend)
+        with pytest.raises(KeyError, match="unwritten offset 8"):
+            machine.run_conversion(plan, distributed_data(src, 2, 32))
 
     def test_pricing_agrees_with_execution_counts(self):
         src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(
@@ -170,67 +163,6 @@ class TestGatherBackends:
         assert program.instrs[0].shuffle_count == gplan.total_shuffles
 
 
-class TestOptimizerRewrites:
-    def test_identity_move_dropped(self):
-        program = WarpProgram(
-            (
-                MovR((0, 1), 32, 4, src=R_IN, dst=R_OUT),
-                MovR((0, 1), 32, 4, src=R_OUT, dst=R_OUT),
-            )
-        )
-        opt = optimize_program(program)
-        assert len(opt) == 1
-        assert opt.instrs[0].src == R_IN
-
-    def test_adjacent_moves_fuse(self):
-        program = WarpProgram(
-            (
-                MovR((1, 0, 3, 2), 32, 4, src=R_IN, dst=R_OUT),
-                MovR((2, 3, 0, 1), 32, 4, src=R_OUT, dst=R_OUT),
-            )
-        )
-        opt = optimize_program(program)
-        assert len(opt) == 1
-        fused = opt.instrs[0]
-        assert fused.src == R_IN and fused.dst == R_OUT
-        # Composition: out2[r] = out1[t2[r]] = in[t1[t2[r]]].
-        assert fused.dst_to_src == (3, 2, 1, 0)
-
-    def test_fusion_can_cancel_to_identity(self):
-        table = (1, 0, 3, 2)
-        program = WarpProgram(
-            (
-                MovR(table, 32, 4, src=R_IN, dst="tmp"),
-                MovR(table, 32, 4, src="tmp", dst="tmp"),
-                MovR((0, 1, 2, 3), 32, 4, src="tmp", dst=R_OUT),
-            )
-        )
-        opt = optimize_program(program)
-        # The two applications of an involution cancel; what remains
-        # is one copy from "in" to the result space.
-        assert len(opt) == 1
-        assert opt.instrs[0].is_identity()
-        assert opt.instrs[0].src == R_IN
-        assert opt.instrs[0].dst == R_OUT
-
-    def test_dead_move_eliminated(self):
-        program = WarpProgram(
-            (
-                MovR((1, 0), 32, 4, src=R_IN, dst="scratch"),
-                MovR((0, 1), 32, 4, src=R_IN, dst=R_OUT),
-            )
-        )
-        opt = optimize_program(program)
-        assert all(i.dst != "scratch" for i in opt.instrs)
-
-    def test_result_space_never_eliminated(self):
-        program = WarpProgram(
-            (MovR((1, 0), 32, 4, src=R_IN, dst=R_OUT),),
-            result=R_OUT,
-        )
-        assert len(optimize_program(program)) == 1
-
-
 class TestProgramStructure:
     def test_noop_plan_is_empty_program(self):
         layout = BlockedLayout((1, 1), (8, 4), (2, 2), (1, 0)).to_linear(
@@ -270,6 +202,29 @@ class TestProgramStructure:
             trace.instructions
             == machine.run_program(program, {R_IN: registers})[1].instructions
         )
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "golden")
+
+with open(os.path.join(GOLDEN_DIR, "program_digests.json")) as fh:
+    PROGRAM_DIGESTS = json.load(fh)["records"]
+
+
+class TestProgramDigests:
+    """Every program a golden compile emits is pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "rec",
+        PROGRAM_DIGESTS,
+        ids=lambda r: f"{r['kernel']}-{r['platform']}-{r['mode']}",
+    )
+    def test_compiled_programs_match_golden(self, rec):
+        compiled = _compile_golden_case(rec)
+        text = json.dumps(
+            [program_to_dict(p) for p in compiled.programs], sort_keys=True
+        )
+        assert len(compiled.programs) == rec["programs"]
+        assert hashlib.sha256(text.encode()).hexdigest() == rec["sha256"]
 
 
 class TestPreshuffleProgram:

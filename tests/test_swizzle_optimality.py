@@ -11,11 +11,11 @@ import random
 import pytest
 
 from repro.codegen.conversion import plan_conversion
-from repro.codegen.plan import SharedLoad, SharedStore
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.gpusim.memory import SharedMemory
 from repro.gpusim.opcost import price_plan
 from repro.hardware import GH200
+from repro.program import Opcode
 
 
 def random_layout(rng, bits=10, shape=None):
@@ -46,8 +46,8 @@ def random_layout(rng, bits=10, shape=None):
 def total_wavefronts(plan, spec, elem_bytes):
     memory = SharedMemory(spec, elem_bytes)
     total = 0
-    for step in plan.steps:
-        if not isinstance(step, (SharedStore, SharedLoad)):
+    for step in plan.program():
+        if step.opcode not in (Opcode.STS, Opcode.LDS):
             continue
         lanes = step.accesses[: spec.warp_size]
         max_accesses = max((len(a) for a in lanes), default=0)
@@ -96,8 +96,8 @@ def test_claimed_conflict_freedom_is_real(seed):
     )
     n = max(1, swizzle.vec_elems * 2 // 4)
     memory = SharedMemory(GH200, 2)
-    for step in plan.steps:
-        if not isinstance(step, (SharedStore, SharedLoad)):
+    for step in plan.program():
+        if step.opcode not in (Opcode.STS, Opcode.LDS):
             continue
         if getattr(step, "use_ldmatrix", False) or getattr(
             step, "use_stmatrix", False
